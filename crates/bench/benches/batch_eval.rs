@@ -1,5 +1,6 @@
 //! Criterion: scalar vs batched candidate costing over one sweep of the
-//! APB-1-like candidate space, plus the `CostTables` precompute itself.
+//! APB-1-like candidate space, the `CostTables` precompute itself, and
+//! the Yao page-hit evaluation behind the batched evaluator's Yao stage.
 //!
 //! The bench binary installs the counting allocator and prints a
 //! one-shot allocation profile (allocations per candidate, peak extra
@@ -12,8 +13,8 @@ use std::hint::black_box;
 use warlock_bench::alloc_probe::{self, CountingAlloc};
 use warlock_bench::Fixture;
 use warlock_cost::{
-    evaluate_chunk_kernel, evaluate_chunk_with, AlignedF64Col, ChunkBatch, CostModel,
-    CostPassInput, CostPassOutput, CostTables, KernelBackend, KernelChoice, PerQueryDetail, LANES,
+    evaluate_chunk_kernel, yao_page_hits, ChunkBatch, CostModel, CostTables, KernelBackend,
+    PerQueryDetail,
 };
 use warlock_fragment::{enumerate_candidates_ranged, FragmentLayout, Fragmentation, LayoutScratch};
 
@@ -61,7 +62,7 @@ fn scalar_sweep(s: &Sweep, model: &CostModel<'_>) -> f64 {
     sink
 }
 
-/// The batched hot path: table-driven SoA costing in chunks of
+/// The batched hot path: table-driven costing in chunks of
 /// [`GROUP`], layouts built in a reusable scratch arena.
 fn batched_sweep(
     s: &Sweep,
@@ -81,53 +82,13 @@ fn batched_sweep(
             );
             batch.push(layout, scratch);
         }
-        for cost in evaluate_chunk_with(tables, batch, PerQueryDetail::Omit) {
+        for cost in
+            evaluate_chunk_kernel(tables, batch, PerQueryDetail::Omit, KernelBackend::Scalar)
+        {
             sink += cost.io_cost_ms;
         }
     }
     sink
-}
-
-/// The batched sweep pinned to one costing kernel backend.
-fn batched_sweep_kernel(
-    s: &Sweep,
-    model: &CostModel<'_>,
-    tables: &CostTables,
-    scratch: &mut LayoutScratch,
-    batch: &mut ChunkBatch,
-    backend: KernelBackend,
-) -> f64 {
-    let mut sink = 0.0;
-    for group in s.candidates.chunks(GROUP) {
-        for frag in group {
-            let layout = FragmentLayout::new_in(
-                scratch,
-                &s.fixture.schema,
-                frag.clone(),
-                model.fact_index(),
-            );
-            batch.push(layout, scratch);
-        }
-        for cost in evaluate_chunk_kernel(tables, batch, PerQueryDetail::Omit, backend) {
-            sink += cost.io_cost_ms;
-        }
-    }
-    sink
-}
-
-/// The kernel backends worth timing on this machine: the scalar
-/// reference, the portable lane path, and — where it resolves to
-/// something distinct — the AVX2 backend.
-fn backends() -> Vec<KernelBackend> {
-    let mut v = vec![
-        KernelBackend::resolve(KernelChoice::Scalar),
-        KernelBackend::resolve(KernelChoice::Lanes),
-    ];
-    let avx2 = KernelBackend::resolve(KernelChoice::Avx2);
-    if !v.contains(&avx2) {
-        v.push(avx2);
-    }
-    v
 }
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -143,112 +104,29 @@ fn uniform(state: &mut u64, lo: f64, hi: f64) -> f64 {
     lo + (hi - lo) * unit
 }
 
-/// Synthetic padded SoA columns exercising both branch outcomes of the
-/// arithmetic pass (scan-vs-fetch, indexable-vs-not), plus one gathered
-/// Yao miss block of matching size.
-struct PassFixture {
-    cols: Vec<AlignedF64Col>,
-    out: Vec<AlignedF64Col>,
-    miss_rows: Vec<u64>,
-    miss_pages: Vec<u64>,
-    miss_k: Vec<f64>,
-    miss_hits: Vec<f64>,
-}
+/// Candidates per synthetic Yao block — a few engine chunks' worth.
+const YAO_N: usize = 4096;
 
-/// Candidates per synthetic arithmetic pass — a few engine chunks'
-/// worth, small enough to stay cache-resident like the real columns.
-const PASS_N: usize = 4096;
-
-fn pass_fixture() -> PassFixture {
-    assert!(PASS_N.is_multiple_of(LANES));
+/// Synthetic `yao_page_hits` arguments mixing the exact-Yao regime
+/// (rows divisible by pages) with the Cardenas fallback, like real
+/// fragment geometry does.
+fn yao_fixture() -> Vec<(u64, u64, f64)> {
     let mut state = 0x5eed_cafe_f00d_0001u64;
-    let mut cols = Vec::new();
-    for c in 0..10 {
-        let mut col = AlignedF64Col::new();
-        for _ in 0..PASS_N {
-            col.push(match c {
-                0 => uniform(&mut state, 1.0, 4096.0).floor(), // fragments
-                1 => uniform(&mut state, 0.0, 900.0),          // touched
-                2 => f64::from(u8::from(!splitmix(&mut state).is_multiple_of(4))), // indexable
-                _ => uniform(&mut state, 0.01, 2000.0),
-            });
-        }
-        cols.push(col);
-    }
-    let mut out = Vec::new();
-    for _ in 0..11 {
-        let mut col = AlignedF64Col::new();
-        col.resize(PASS_N, 0.0);
-        out.push(col);
-    }
-    let mut miss_rows = Vec::new();
-    let mut miss_pages = Vec::new();
-    let mut miss_k = Vec::new();
-    for _ in 0..PASS_N {
-        let rows = 1 + splitmix(&mut state) % 1_000_000;
-        // Mix the exact-Yao regime (rows divisible by pages) with the
-        // Cardenas fallback, like real fragment geometry does.
-        let pages = 1 + splitmix(&mut state) % 4096;
-        miss_rows.push(rows);
-        miss_pages.push(pages);
-        miss_k.push(uniform(&mut state, 0.0, rows as f64));
-    }
-    PassFixture {
-        cols,
-        out,
-        miss_rows,
-        miss_pages,
-        miss_k,
-        miss_hits: vec![0.0; PASS_N],
-    }
+    (0..YAO_N)
+        .map(|_| {
+            let rows = 1 + splitmix(&mut state) % 1_000_000;
+            let pages = 1 + splitmix(&mut state) % 4096;
+            (rows, pages, uniform(&mut state, 0.0, rows as f64))
+        })
+        .collect()
 }
 
-/// One arithmetic (`cost_pass`) run over the synthetic columns.
-fn cost_pass_once(f: &mut PassFixture, backend: KernelBackend) -> f64 {
-    let kernel = backend.kernel();
-    let inp = CostPassInput {
-        fragments: &f.cols[0],
-        touched: &f.cols[1],
-        indexable: &f.cols[2],
-        scan_ms: &f.cols[3],
-        scan_ios: &f.cols[4],
-        fragment_pages: &f.cols[5],
-        vector_ms: &f.cols[6],
-        vector_ios: &f.cols[7],
-        vector_pages: &f.cols[8],
-        bitmap_vectors: &f.cols[9],
-        random_page_ms: 8.9,
-        disks: 16.0,
-        processors: 4.0,
-        overhead: 1.04,
-        share: 0.25,
-    };
-    let [o0, o1, o2, o3, o4, o5, o6, a0, a1, a2, a3] = &mut f.out[..] else {
-        unreachable!("11 output columns");
-    };
-    let mut out = CostPassOutput {
-        out_use_scan: o0,
-        out_per_fragment_ms: o1,
-        out_busy_ms: o2,
-        out_response_ms: o3,
-        out_fact_pages: o4,
-        out_bitmap_pages: o5,
-        out_total_ios: o6,
-        acc_io_ms: a0,
-        acc_response_ms: a1,
-        acc_ios: a2,
-        acc_pages: a3,
-    };
-    kernel.cost_pass(&inp, &mut out);
-    out.acc_io_ms[0] + out.out_response_ms[PASS_N - 1]
-}
-
-/// One lane-batched Yao miss-block run.
-fn yao_pass_once(f: &mut PassFixture, backend: KernelBackend) -> f64 {
-    backend
-        .kernel()
-        .yao_pass(&f.miss_rows, &f.miss_pages, &f.miss_k, &mut f.miss_hits);
-    f.miss_hits[0] + f.miss_hits[PASS_N - 1]
+/// One pass of the Yao stage's page-hit evaluation over the fixture —
+/// the work every memo miss costs.
+fn yao_stage(args: &[(u64, u64, f64)]) -> f64 {
+    args.iter()
+        .map(|&(rows, pages, k)| yao_page_hits(rows, pages, k))
+        .sum()
 }
 
 fn report_allocations(s: &Sweep) {
@@ -298,32 +176,8 @@ fn bench_sweeps(c: &mut Criterion) {
         b.iter(|| black_box(batched_sweep(&s, &model, &tables, &mut scratch, &mut batch)))
     });
 
-    // Per-backend axes: the full demo sweep pinned to each kernel, and
-    // the isolated arithmetic / Yao passes where the backends actually
-    // differ (matching and gather stages are backend-independent).
-    for backend in backends() {
-        c.bench_function(format!("eval/batched_sweep/{}", backend.name()), |b| {
-            b.iter(|| {
-                black_box(batched_sweep_kernel(
-                    &s,
-                    &model,
-                    &tables,
-                    &mut scratch,
-                    &mut batch,
-                    backend,
-                ))
-            })
-        });
-    }
-    let mut pass = pass_fixture();
-    for backend in backends() {
-        c.bench_function(format!("kernel/cost_pass/{}", backend.name()), |b| {
-            b.iter(|| black_box(cost_pass_once(&mut pass, backend)))
-        });
-        c.bench_function(format!("kernel/yao_pass/{}", backend.name()), |b| {
-            b.iter(|| black_box(yao_pass_once(&mut pass, backend)))
-        });
-    }
+    let yao = yao_fixture();
+    c.bench_function("eval/yao_stage", |b| b.iter(|| black_box(yao_stage(&yao))));
 }
 
 /// Bounded-runtime criterion config: benchmark sweeps stay meaningful but

@@ -183,7 +183,9 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 /// the fleet's evaluation-throughput trajectory number.
 fn eval_sweep(parsed: &ParsedConfig) -> f64 {
     use warlock_bitmap::BitmapScheme;
-    use warlock_cost::{evaluate_chunk, ChunkBatch, CostModel, CostTables};
+    use warlock_cost::{
+        evaluate_chunk_kernel, ChunkBatch, CostModel, CostTables, KernelBackend, PerQueryDetail,
+    };
     use warlock_fragment::{CandidateSource, FragmentLayout, LayoutScratch};
 
     const GROUP: usize = 64;
@@ -220,7 +222,12 @@ fn eval_sweep(parsed: &ParsedConfig) -> f64 {
         batch.push(layout, &mut scratch);
         staged += 1;
         if staged == GROUP {
-            for cost in evaluate_chunk(&tables, &mut batch) {
+            for cost in evaluate_chunk_kernel(
+                &tables,
+                &mut batch,
+                PerQueryDetail::Full,
+                KernelBackend::Scalar,
+            ) {
                 sink += cost.io_cost_ms;
             }
             swept += staged as u64;
@@ -228,7 +235,12 @@ fn eval_sweep(parsed: &ParsedConfig) -> f64 {
         }
     }
     if staged > 0 {
-        for cost in evaluate_chunk(&tables, &mut batch) {
+        for cost in evaluate_chunk_kernel(
+            &tables,
+            &mut batch,
+            PerQueryDetail::Full,
+            KernelBackend::Scalar,
+        ) {
             sink += cost.io_cost_ms;
         }
         swept += staged as u64;

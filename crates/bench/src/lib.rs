@@ -1,8 +1,8 @@
 //! Shared fixtures for the WARLOCK benchmark & experiment harness.
 //!
 //! Both the criterion micro-benchmarks (`benches/`) and the experiment
-//! binary (`src/bin/experiments.rs`, regenerating every table/figure of
-//! EXPERIMENTS.md) build on the same demonstration configuration: the
+//! binary (`src/bin/experiments.rs`, printing the experiment tables the
+//! README describes) build on the same demonstration configuration: the
 //! APB-1-like schema and ten-class mix on a 16-disk circa-2001 system.
 
 #![warn(missing_docs)]

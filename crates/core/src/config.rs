@@ -48,12 +48,9 @@ pub struct AdvisorConfig {
     /// produces bit-identical reports; the knob only trades pipeline
     /// memory against fan-out batching.
     pub chunk_size: usize,
-    /// Costing kernel backend for the batched evaluator: `Auto`
-    /// resolves via the `WARLOCK_KERNEL` environment variable and then
-    /// CPU feature detection; explicit `Scalar`/`Lanes`/`Avx2` pin a
-    /// backend (`Avx2` degrades cleanly to `Lanes` off AVX2 hardware).
-    /// Every setting produces bit-identical reports; the knob only
-    /// trades instruction throughput.
+    /// The retired costing-kernel knob; it has one value and nothing
+    /// reads it. Remains only until a benchmark change drops the
+    /// per-layer probe's use of it.
     pub kernel: KernelChoice,
     /// Extra MDHF attribute range sizes to enumerate alongside the
     /// point candidates (empty = the paper's point-only space). Each
@@ -97,7 +94,7 @@ impl Default for AdvisorConfig {
             parallelism: 0,
             max_candidates: 0,
             chunk_size: 0,
-            kernel: KernelChoice::Auto,
+            kernel: KernelChoice::Scalar,
             range_options: Vec::new(),
             auto_advise: false,
             drift_enter: 0.25,

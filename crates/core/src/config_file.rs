@@ -379,9 +379,11 @@ pub fn parse_config(input: &str) -> Result<ParsedConfig, ConfigFileError> {
                     }
                 }
                 "kernel" => {
-                    advisor.kernel = value
-                        .parse()
-                        .map_err(|e: String| ConfigFileError::at(lineno, e))?;
+                    // Retired: still accepted so older files load, with
+                    // no effect.
+                    value
+                        .parse::<warlock_cost::KernelChoice>()
+                        .map_err(|e| ConfigFileError::at(lineno, e))?;
                 }
                 "allocation_policy" => {
                     advisor.allocation_policy = parse_allocation_policy(value, lineno)?;
@@ -833,12 +835,6 @@ pub fn render_config(parsed: &ParsedConfig) -> String {
             let _ = writeln!(out, "chunk_size = {n}");
         }
     }
-    // Rendered only when pinned: the default (`auto`) stays implicit so
-    // configs rendered before the knob existed — and the scenario-fleet
-    // fingerprint hashed over them — stay byte-identical.
-    if adv.kernel != warlock_cost::KernelChoice::Auto {
-        let _ = writeln!(out, "kernel = {}", adv.kernel);
-    }
     if !adv.range_options.is_empty() {
         let rendered: Vec<String> = adv.range_options.iter().map(u64::to_string).collect();
         let _ = writeln!(out, "range_options = {}", rendered.join(", "));
@@ -992,28 +988,22 @@ top_n = 5
     }
 
     #[test]
-    fn kernel_key_parses_and_round_trips() {
-        use warlock_cost::KernelChoice;
-        // Default (absent key) is auto, left implicit on render so
-        // pre-knob configs stay byte-identical.
-        let parsed = parse_config(SAMPLE).unwrap();
-        assert_eq!(parsed.advisor.kernel, KernelChoice::Auto);
-        assert!(!render_config(&parsed).contains("kernel ="));
-        for (spelled, choice) in [
-            ("auto", KernelChoice::Auto),
-            ("scalar", KernelChoice::Scalar),
-            ("lanes", KernelChoice::Lanes),
-            ("avx2", KernelChoice::Avx2),
-        ] {
+    fn retired_kernel_key_still_loads_and_never_renders() {
+        // Files written while the knob existed keep loading, to the same
+        // advisory inputs as without the key; the key is never rendered.
+        let plain = parse_config(SAMPLE).unwrap();
+        assert!(!render_config(&plain).contains("kernel"));
+        for spelled in ["auto", "scalar", "lanes", "avx2"] {
             let with = SAMPLE.replace("top_n = 5", &format!("top_n = 5\nkernel = {spelled}"));
             let parsed = parse_config(&with).unwrap();
-            assert_eq!(parsed.advisor.kernel, choice);
-            let reparsed = parse_config(&render_config(&parsed)).unwrap();
-            assert_eq!(reparsed.advisor.kernel, choice);
+            assert_eq!(parsed.advisor, plain.advisor, "kernel = {spelled}");
+            assert!(!render_config(&parsed).contains("kernel"));
         }
         let bad = SAMPLE.replace("top_n = 5", "top_n = 5\nkernel = sse9");
-        let err = parse_config(&bad).unwrap_err().to_string();
-        assert!(err.contains("sse9"), "unhelpful error: {err}");
+        let err = parse_config(&bad).unwrap_err();
+        let line = bad.lines().position(|l| l.starts_with("kernel")).unwrap() + 1;
+        assert_eq!(err.line, line, "error must point at the key: {err}");
+        assert!(err.message.contains("sse9"), "unhelpful error: {err}");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The prediction pipeline internals: validate → generate → exclude →
 //! cost → rank, as a **bounded-memory streaming pipeline**.
 //!
-//! The owned [`crate::Warlock`] session facade, [`crate::TuningSession`]
-//! and the `warlockd` service all delegate here, so the pipeline has
-//! exactly one implementation. Candidates are pulled lazily from a
+//! The owned [`crate::Warlock`] session facade and the `warlockd`
+//! service both delegate here, so the pipeline has exactly one
+//! implementation. Candidates are pulled lazily from a
 //! [`CandidateSource`] in fixed-size chunks (never materializing the
 //! space): each chunk is resolved against the [`EvalCache`], cheap
 //! structural pre-exclusion culls candidates whose fragment count
@@ -27,8 +27,8 @@ use std::sync::Arc;
 
 use warlock_bitmap::BitmapScheme;
 use warlock_cost::{
-    combine_class_costs, evaluate_chunk_kernel, evaluate_chunk_rows, CandidateCost, ChunkBatch,
-    ClassCost, CostModel, CostTables, KernelBackend, PerQueryDetail,
+    combine_class_costs, evaluate_chunk_kernel, CandidateCost, ChunkBatch, CostModel, CostTables,
+    KernelBackend, PerQueryDetail,
 };
 use warlock_fragment::{
     CandidateError, CandidateSource, Exclusion, FragmentLayout, Fragmentation, LayoutScratch,
@@ -82,8 +82,8 @@ pub(crate) fn effective_chunk_size(requested: usize) -> usize {
 /// the shared evaluation memo and the persistent worker pool.
 #[derive(Clone, Copy)]
 pub(crate) struct EvalEnv<'a> {
-    /// Per-candidate outcome memo; `None` disables memoization.
-    pub cache: Option<&'a EvalCache>,
+    /// Per-candidate outcome memo.
+    pub cache: &'a EvalCache,
     /// The persistent evaluation pool work fans out over.
     pub pool: &'a exec::WorkerPool,
 }
@@ -211,7 +211,7 @@ fn pre_exclude(
 const MAX_GROUP_SIZE: usize = 64;
 
 /// Per-worker reusable evaluation arenas: layout construction buffers,
-/// the SoA chunk batch, and the staging map from batch position back to
+/// the chunk batch, and the staging map from batch position back to
 /// group slot. Acquired once per pool thread via [`exec::with_scratch`],
 /// so all three amortize to zero steady-state allocation.
 #[derive(Debug, Default)]
@@ -219,15 +219,15 @@ struct EvalScratch {
     layout: LayoutScratch,
     batch: ChunkBatch,
     staged: Vec<usize>,
-    class_rows: Vec<Vec<ClassCost>>,
 }
 
 /// One worker-side result: the weighted outcome the merge loop ranks
-/// with, plus (when the run is memoizing) the ready-to-insert
-/// weight-free [`CachedOutcome::Classes`] memo entry for the candidate.
+/// with, plus the ready-to-insert memo entry for the candidate — the
+/// weight-free [`CachedOutcome::Classes`] rows of a costed candidate,
+/// or the exclusion itself.
 struct GroupEval {
     outcome: CachedOutcome,
-    memo: Option<CachedOutcome>,
+    memo: CachedOutcome,
 }
 
 /// The worker-side pipeline step for one group of candidates: layout →
@@ -237,16 +237,13 @@ struct GroupEval {
 /// entry, in group order. Callers must have passed every candidate
 /// through [`pre_exclude`] first (the layout would panic on a
 /// `u64`-overflowing fragment count otherwise).
-#[allow(clippy::too_many_arguments)]
 fn evaluate_group(
     schema: &StarSchema,
     config: &AdvisorConfig,
     ctx: ThresholdContext,
     tables: &CostTables,
-    backend: KernelBackend,
     chunk: &[Fragmentation],
     group: &[usize],
-    gather_classes: bool,
     scratch: &mut EvalScratch,
 ) -> Vec<Option<GroupEval>> {
     let mut outcomes: Vec<Option<GroupEval>> = Vec::with_capacity(group.len());
@@ -264,7 +261,7 @@ fn evaluate_group(
                 let _ = layout.recycle(&mut scratch.layout);
                 outcomes[slot] = Some(GroupEval {
                     outcome: CachedOutcome::Excluded(reason),
-                    memo: None,
+                    memo: CachedOutcome::Excluded(reason),
                 });
             }
             Ok(()) => {
@@ -275,27 +272,21 @@ fn evaluate_group(
     }
     // Per-query detail is omitted on the hot path: ranking reads only
     // the aggregates, and the final report re-derives detail for the
-    // ranked handful (see `run`). A memoizing run additionally gathers
-    // the unweighted per-class rows: the merge loop still ranks the
-    // kernel-accumulated weighted cost (bit-identical to before), while
-    // the memo stores the rows so a re-weighted run can recombine them
-    // without re-costing.
-    let costs = if gather_classes {
-        evaluate_chunk_rows(
-            tables,
-            &mut scratch.batch,
-            PerQueryDetail::Omit,
-            backend,
-            &mut scratch.class_rows,
-        )
-    } else {
-        evaluate_chunk_kernel(tables, &mut scratch.batch, PerQueryDetail::Omit, backend)
-    };
+    // ranked handful (see `run`). The merge loop ranks the weighted
+    // cost, while the memo stores the unweighted per-class rows the
+    // batch gathered, so a re-weighted run can recombine them without
+    // re-costing.
+    let costs = evaluate_chunk_kernel(
+        tables,
+        &mut scratch.batch,
+        PerQueryDetail::Omit,
+        KernelBackend::Scalar,
+    );
     for (pos, (slot, cost)) in scratch.staged.drain(..).zip(costs).enumerate() {
-        let memo = gather_classes.then(|| CachedOutcome::Classes {
+        let memo = CachedOutcome::Classes {
             num_fragments: cost.num_fragments,
-            rows: Arc::new(std::mem::take(&mut scratch.class_rows[pos])),
-        });
+            rows: Arc::new(scratch.batch.take_class_rows(pos)),
+        };
         outcomes[slot] = Some(GroupEval {
             outcome: CachedOutcome::Cost(Arc::new(cost)),
             memo,
@@ -314,9 +305,9 @@ fn evaluate_group(
 /// rank accumulator and the bounded exclusion summary — so the report
 /// is bit-identical at any worker count and chunk size, and pipeline
 /// memory is O(chunk + phase-1 survivors), never O(candidate space).
-/// When the environment carries a cache, per-candidate outcomes are
-/// memoized under the input fingerprint and re-runs with unchanged
-/// inputs skip re-evaluation.
+/// Per-candidate outcomes are memoized in the environment's cache under
+/// the input fingerprint, so re-runs with unchanged inputs skip
+/// re-evaluation.
 ///
 /// # Errors
 ///
@@ -342,25 +333,18 @@ pub(crate) fn run(
     }
     let ctx = threshold_context(schema, system, config);
     let model = cost_model(schema, system, scheme, mix, config)?;
-    let fingerprint = env.cache.map(|_| run_fingerprint(&model, config));
+    let fingerprint = run_fingerprint(&model, config);
     // Probe the memo per candidate only when this fingerprint already
     // holds outcomes. Enumeration never repeats a candidate, so a cold
     // run can never hit its own inserts — skipping the probes saves two
     // map walks per candidate; the skipped lookups are still accounted
     // as misses (`record_misses`) so the observable hit rate is
     // unchanged.
-    let probe_cache = match (env.cache, fingerprint) {
-        (Some(cache), Some(fp)) => cache.has_entries(fp),
-        _ => false,
-    };
+    let probe_cache = env.cache.has_entries(fingerprint);
     let workers = exec::effective_parallelism(config.parallelism);
     // Current mix shares, in mix order — the order the per-class memo
     // rows are gathered in, so a `Classes` hit recombines positionally.
     let shares: Vec<f64> = mix.iter().map(|(_, share)| share).collect();
-    // Resolve the costing kernel backend once per run (resolution reads
-    // the environment); every backend is bit-identical, so the choice
-    // never participates in cache fingerprints.
-    let backend = KernelBackend::resolve(config.kernel);
     // Precomputed cost tables for the batched evaluator, built lazily on
     // the first cache-miss candidate — a fully warm run never pays for
     // the build.
@@ -401,34 +385,28 @@ pub(crate) fn run(
         outcomes.clear();
         outcomes.resize(chunk.len(), None);
         todo.clear();
-        if let Some(cache) = env.cache {
-            if !probe_cache {
-                cache.record_misses(chunk.len() as u64);
-            }
+        if !probe_cache {
+            env.cache.record_misses(chunk.len() as u64);
         }
         for i in 0..chunk.len() {
             if probe_cache {
-                if let (Some(cache), Some(fp)) = (env.cache, fingerprint) {
-                    if let Some(outcome) = cache.lookup(fp, &chunk[i]) {
-                        outcomes[i] = Some(outcome);
-                        continue;
-                    }
+                if let Some(outcome) = env.cache.lookup(fingerprint, &chunk[i]) {
+                    outcomes[i] = Some(outcome);
+                    continue;
                 }
             }
             match pre_exclude(schema, config, &chunk[i]) {
                 Some(reason) => {
-                    if fingerprint.is_some() {
-                        // The merge loop reads the drained chunk slot
-                        // only while the reason's sample list has room,
-                        // so past that point the slot can be moved out
-                        // as the memo key instead of cloned.
-                        let key = if excluded.wants_sample(&reason) {
-                            chunk[i].clone()
-                        } else {
-                            std::mem::replace(&mut chunk[i], Fragmentation::none())
-                        };
-                        pending.push((key, CachedOutcome::Excluded(reason)));
-                    }
+                    // The merge loop reads the drained chunk slot only
+                    // while the reason's sample list has room, so past
+                    // that point the slot can be moved out as the memo
+                    // key instead of cloned.
+                    let key = if excluded.wants_sample(&reason) {
+                        chunk[i].clone()
+                    } else {
+                        std::mem::replace(&mut chunk[i], Fragmentation::none())
+                    };
+                    pending.push((key, CachedOutcome::Excluded(reason)));
                     outcomes[i] = Some(CachedOutcome::Excluded(reason));
                 }
                 None => todo.push(i),
@@ -445,17 +423,7 @@ pub(crate) fn run(
             let groups: Vec<&[usize]> = todo.chunks(group_size).collect();
             let fresh = env.pool.map(workers, &groups, |group| {
                 exec::with_scratch(|scratch: &mut EvalScratch| {
-                    evaluate_group(
-                        schema,
-                        config,
-                        ctx,
-                        tables,
-                        backend,
-                        &chunk,
-                        group,
-                        fingerprint.is_some(),
-                        scratch,
-                    )
+                    evaluate_group(schema, config, ctx, tables, &chunk, group, scratch)
                 })
             });
             for (group, group_outcomes) in groups.iter().zip(fresh) {
@@ -463,35 +431,27 @@ pub(crate) fn run(
                     let GroupEval { outcome, memo } = eval.ok_or_else(|| {
                         WarlockError::internal("group evaluation left no outcome")
                     })?;
-                    if fingerprint.is_some() {
-                        // The merge loop reads the drained chunk slot
-                        // only for exclusions still collecting sample
-                        // records; a costed candidate carries its
-                        // fragmentation in the cost itself. Everywhere
-                        // else the slot is moved out as the memo key
-                        // instead of cloned.
-                        let key = match &outcome {
-                            CachedOutcome::Cost(_) | CachedOutcome::Classes { .. } => {
-                                std::mem::replace(&mut chunk[i], Fragmentation::none())
-                            }
-                            CachedOutcome::Excluded(reason) if !excluded.wants_sample(reason) => {
-                                std::mem::replace(&mut chunk[i], Fragmentation::none())
-                            }
-                            CachedOutcome::Excluded(_) => chunk[i].clone(),
-                        };
-                        // Costed candidates are memoized as their
-                        // weight-free class rows; exclusions memoize
-                        // as themselves.
-                        pending.push((key, memo.unwrap_or_else(|| outcome.clone())));
-                    }
+                    // The merge loop reads the drained chunk slot only
+                    // for exclusions still collecting sample records; a
+                    // costed candidate carries its fragmentation in the
+                    // cost itself. Everywhere else the slot is moved out
+                    // as the memo key instead of cloned.
+                    let key = match &outcome {
+                        CachedOutcome::Cost(_) | CachedOutcome::Classes { .. } => {
+                            std::mem::replace(&mut chunk[i], Fragmentation::none())
+                        }
+                        CachedOutcome::Excluded(reason) if !excluded.wants_sample(reason) => {
+                            std::mem::replace(&mut chunk[i], Fragmentation::none())
+                        }
+                        CachedOutcome::Excluded(_) => chunk[i].clone(),
+                    };
+                    pending.push((key, memo));
                     outcomes[i] = Some(outcome);
                 }
             }
         }
-        if let (Some(cache), Some(fp)) = (env.cache, fingerprint) {
-            if !pending.is_empty() {
-                cache.insert_batch(fp, pending.drain(..));
-            }
+        if !pending.is_empty() {
+            env.cache.insert_batch(fingerprint, pending.drain(..));
         }
 
         // Merge in enumeration order. The rank accumulator's horizon is
@@ -519,7 +479,7 @@ pub(crate) fn run(
                 // A memo hit from an earlier run of the same structure:
                 // recombine the unweighted rows under the current
                 // shares. Bit-identical to a fresh evaluation at this
-                // mix (the kernels accumulate exactly
+                // mix (the evaluator accumulates exactly
                 // `share * row` per class, in the same order).
                 CachedOutcome::Classes {
                     num_fragments,
@@ -574,8 +534,7 @@ fn clamped_label(what: &str, requested: u32, effective: u32, unit: &str) -> Stri
 }
 
 /// What-if variation: `num_disks` disks. Returns the variation label and
-/// the re-run report; shared by [`crate::Warlock::what_if_disks`] and
-/// [`crate::TuningSession::with_disks`].
+/// the re-run report of [`crate::Warlock::what_if_disks`].
 pub(crate) fn vary_disks(
     schema: &StarSchema,
     system: &SystemConfig,
@@ -668,10 +627,10 @@ fn check_candidate(schema: &StarSchema, fragmentation: &Fragmentation) -> Result
 }
 
 /// Evaluates a single candidate outside the ranking pipeline, memoizing
-/// the cost when a session cache is given. Cached under a different
-/// fingerprint than the pipeline because no thresholds are applied
-/// here. `fp_memo` lets the session reuse its snapshot-scoped
-/// fingerprint (computing one dumps every model input).
+/// the cost in the session cache. Cached under a different fingerprint
+/// than the pipeline because no thresholds are applied here. `fp_memo`
+/// lets the session reuse its snapshot-scoped fingerprint (computing
+/// one dumps every model input).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate(
     schema: &StarSchema,
@@ -680,18 +639,12 @@ pub(crate) fn evaluate(
     config: &AdvisorConfig,
     scheme: &BitmapScheme,
     fragmentation: &Fragmentation,
-    cache: Option<&EvalCache>,
-    fp_memo: Option<&std::sync::OnceLock<u128>>,
+    cache: &EvalCache,
+    fp_memo: &std::sync::OnceLock<u128>,
 ) -> Result<CandidateCost, WarlockError> {
     check_candidate(schema, fragmentation)?;
     let model = cost_model(schema, system, scheme, mix, config)?;
-    let Some(cache) = cache else {
-        return Ok(model.evaluate(fragmentation));
-    };
-    let fp = match fp_memo {
-        Some(memo) => *memo.get_or_init(|| evaluate_fingerprint(&model)),
-        None => evaluate_fingerprint(&model),
-    };
+    let fp = *fp_memo.get_or_init(|| evaluate_fingerprint(&model));
     if let Some(CachedOutcome::Cost(cost)) = cache.lookup(fp, fragmentation) {
         return Ok(Arc::try_unwrap(cost).unwrap_or_else(|shared| (*shared).clone()));
     }

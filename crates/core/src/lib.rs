@@ -114,8 +114,7 @@ pub use registry::{Registry, Warehouse, WarehouseStats};
 pub use serial::SessionReport;
 pub use service::{Service, ServiceReply, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
 pub use session::{Snapshot, Warlock, WarlockBuilder};
-pub use tuning::{TuningDelta, TuningSession};
-pub use warlock_cost::{KernelBackend, KernelChoice};
+pub use tuning::TuningDelta;
 pub use warlock_workload::{ClassObservation, DriftState};
 
 // Substrate re-exports so downstream users need only one dependency.

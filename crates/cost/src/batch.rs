@@ -1,41 +1,27 @@
-//! Batched candidate costing in structure-of-arrays layout.
+//! Batched candidate costing.
 //!
-//! [`ChunkBatch`] accumulates a chunk of candidates as flat columns
-//! (fragment counts, per-candidate page geometry, per-class match
-//! results), and [`evaluate_chunk`] prices all of them against a
-//! [`CostTables`] in three phases per query class: an irregular matching
-//! pass that resolves predicates through the precomputed tables, a Yao
-//! stage that resolves page-hit curves through two memos (gathering the
-//! misses for one lane-batched kernel call), and a straight-line
-//! arithmetic pass over the `f64` columns, dispatched to a
-//! [`CostKernel`] backend (scalar reference, portable lane arrays, or
-//! runtime-detected AVX2 — see [`crate::kernel`]). The expression
-//! sequence per (candidate, class) is exactly the scalar
+//! [`ChunkBatch`] stages a chunk of candidates as flat columns (fragment
+//! counts, per-attribute dimensions and cardinalities), and
+//! [`evaluate_chunk_kernel`] prices all of them against a [`CostTables`].
+//! Per candidate it derives the class-independent geometry once (rows
+//! and pages per fragment, prefetch granules, sequential scan and bitmap
+//! vector pricing); per (candidate, query class) it resolves the
+//! predicates through the precomputed tables, resolves the Yao page-hit
+//! curve through two memos, and runs the arithmetic of `price_class`.
+//! That expression sequence is exactly the scalar
 //! [`estimate_query`](crate::access::estimate_query) path, so batched
-//! results are bit-identical to [`CostModel::evaluate_layout`]
-//! (crate::CostModel::evaluate_layout) on every backend — pinned by the
-//! `batched_equivalence` proptest in `xtests`.
+//! results are bit-identical to
+//! [`CostModel::evaluate_layout`](crate::CostModel::evaluate_layout) —
+//! pinned by the `batched_equivalence` proptest in `xtests`.
 //!
 //! Compared to the scalar path, a chunk of N candidates × C classes
-//! performs the class-independent geometry (Yao/Cardenas inputs, prefetch
-//! granules, sequential-scan pricing) once per candidate instead of C
-//! times, resolves per-dimension occupancy statistics by table lookup
+//! performs the class-independent geometry once per candidate instead of
+//! C times, resolves per-dimension occupancy statistics by table lookup
 //! instead of recomputation, and memoizes the Yao page-hit curve — both
 //! across classes that share a residual selectivity within one candidate
 //! and across candidates/chunks through a persistent exact-argument memo
 //! (`yao_page_hits` is a pure function, so identical arguments reproduce
 //! identical bits).
-//!
-//! # Padding invariant
-//!
-//! Every `f64` column the arithmetic kernels read or write lives in a
-//! cache-line-aligned [`AlignedF64Col`] and is padded to a multiple of
-//! [`LANES`] with **inert** candidates: zero fragments, zero geometry,
-//! not indexable. Inert lanes produce finite all-zero outputs by
-//! construction, are never read back (every consumer loop runs over the
-//! live `0..n` prefix only), and never reach either Yao memo (the
-//! gather loop is scalar over the live prefix). The
-//! `padded_tail_lanes_stay_inert` test pins this.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -45,14 +31,13 @@ use warlock_fragment::{FragmentLayout, Fragmentation, LayoutScratch};
 use warlock_schema::DimensionId;
 
 use crate::access::{AccessPath, QueryCost};
-use crate::kernel::{
-    AlignedF64Col, CostKernel, CostPassInput, CostPassOutput, KernelBackend, KernelChoice, LANES,
-};
+use crate::kernel::KernelBackend;
 use crate::model::{CandidateCost, ClassCost};
 use crate::prefetch::effective_prefetch;
 use crate::tables::{BitmapContrib, CostTables};
+use crate::yao::yao_page_hits;
 
-/// How much per-class detail [`evaluate_chunk_with`] materializes.
+/// How much per-class detail [`evaluate_chunk_kernel`] materializes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PerQueryDetail {
     /// Materialize the full per-class [`QueryCost`] rows.
@@ -91,76 +76,32 @@ impl std::hash::Hasher for YaoKeyHasher {
     }
 }
 
-/// A chunk of candidates staged for batched evaluation, stored as flat
-/// columns. Reusable: [`evaluate_chunk`] drains it back to empty with all
-/// column capacity retained, so one `ChunkBatch` per worker amortizes to
-/// zero steady-state allocation (bar the output itself).
+/// A chunk of candidates staged for batched evaluation. Reusable:
+/// [`evaluate_chunk_kernel`] drains it back to empty with all column
+/// capacity retained, so one `ChunkBatch` per worker amortizes to zero
+/// steady-state allocation (bar the output itself).
 #[derive(Debug, Default)]
 pub struct ChunkBatch {
-    // --- Per-candidate input columns -----------------------------------
     fragmentations: Vec<Fragmentation>,
     num_fragments: Vec<u64>,
     /// Prefix offsets into `attr_dims`/`attr_cards`; `len() + 1` entries.
     attr_offsets: Vec<u32>,
     attr_dims: Vec<DimensionId>,
     attr_cards: Vec<u64>,
-    // --- Class-independent geometry (stage A). The `f64` columns the
-    // arithmetic kernels read are aligned and padded (see the module
-    // docs); the integer columns feed the scalar Yao gather and the
-    // detail rows.
-    frag_rows_avg: Vec<f64>,
-    frag_rows: Vec<u64>,
-    fragment_pages: Vec<u64>,
-    fact_prefetch: Vec<u32>,
-    scan_ms: AlignedF64Col,
-    scan_ios: AlignedF64Col,
-    fragment_pages_f: AlignedF64Col,
-    vector_pages: Vec<u64>,
-    bitmap_prefetch: Vec<u32>,
-    vector_ms: AlignedF64Col,
-    vector_ios: AlignedF64Col,
-    vector_pages_f: AlignedF64Col,
-    // --- Per-class working columns -------------------------------------
-    expected_fragments: AlignedF64Col,
-    residual: Vec<f64>,
-    bitmap_vectors: AlignedF64Col,
-    /// `1.0` = every residual predicate has a covering bitmap.
-    indexable: AlignedF64Col,
+    /// Per-attribute bitmap contributions of the candidate and class
+    /// being matched (scratch).
     attr_bitmap: Vec<BitmapContrib>,
-    /// Yao page hits per fragment, `0.0` where not indexable; the
-    /// kernel's `touched` input column.
-    touched: AlignedF64Col,
-    // --- Yao memo: one entry per candidate, keyed on the exact bit
-    // pattern of the residual row count (classes sharing a residual
-    // selectivity share the curve point).
-    yao_k: Vec<f64>,
-    yao_hits: Vec<f64>,
-    // --- Persistent Yao memo, keyed on the exact `yao_page_hits`
-    // arguments `(rows, pages, k.to_bits())`. Never cleared: the
-    // function is pure, so an entry stays valid across chunks, models
-    // and sessions sharing this batch (one per worker thread).
+    /// Persistent Yao memo, keyed on the exact `yao_page_hits` arguments
+    /// `(rows, pages, k.to_bits())`. Never cleared: the function is
+    /// pure, so an entry stays valid across chunks, models and sessions
+    /// sharing this batch (one per worker thread).
     yao_memo: HashMap<(u64, u64, u64), f64, BuildHasherDefault<YaoKeyHasher>>,
-    // --- Gathered Yao memo misses, SoA, in live-candidate order; padded
-    // with inert `rows = 0` entries for the lane kernel.
-    miss_idx: Vec<usize>,
-    miss_rows: Vec<u64>,
-    miss_pages: Vec<u64>,
-    miss_k: Vec<f64>,
-    miss_hits: Vec<f64>,
-    // --- Kernel output columns (overwritten per class) -----------------
-    out_use_scan: AlignedF64Col,
-    out_per_fragment_ms: AlignedF64Col,
-    out_busy_ms: AlignedF64Col,
-    out_response_ms: AlignedF64Col,
-    out_fact_pages: AlignedF64Col,
-    out_bitmap_pages: AlignedF64Col,
-    out_total_ios: AlignedF64Col,
-    // --- Output accumulators (one `+=` term per class) -----------------
-    acc_io_ms: AlignedF64Col,
-    acc_response_ms: AlignedF64Col,
-    acc_ios: AlignedF64Col,
-    acc_pages: AlignedF64Col,
-    per_query: Vec<Vec<QueryCost>>,
+    /// Unweighted per-class rows of the last evaluated chunk, one
+    /// `Vec` per candidate, classes in mix order. Buffers past that
+    /// chunk's length are kept for reuse.
+    class_rows: Vec<Vec<ClassCost>>,
+    /// Candidates in the last evaluated chunk.
+    evaluated: usize,
 }
 
 impl ChunkBatch {
@@ -202,12 +143,27 @@ impl ChunkBatch {
     }
 
     /// Distinct Yao argument triples memoized so far — equivalently,
-    /// the number of lane-kernel Yao evaluations across the batch's
-    /// lifetime (each distinct triple misses exactly once, up to the
-    /// memo cap). Diagnostic for sizing the steady-state miss ratio of
-    /// the batched Yao stage.
+    /// the number of Yao evaluations across the batch's lifetime (each
+    /// distinct triple misses exactly once, up to the memo cap).
+    /// Diagnostic for sizing the steady-state miss ratio of the Yao
+    /// stage.
     pub fn yao_memo_len(&self) -> usize {
         self.yao_memo.len()
+    }
+
+    /// Moves out the **unweighted** per-class cost rows of candidate `i`
+    /// of the last evaluated chunk (classes in mix order). The rows are
+    /// the exact per-class terms the weighted aggregates accumulate, so
+    /// [`combine_class_costs`](crate::model::combine_class_costs) over
+    /// them reproduces those aggregates bit-for-bit under *any* share
+    /// vector — the basis of the advisor's re-weight-warm evaluation
+    /// cache.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is not a candidate index of the last evaluated chunk.
+    pub fn take_class_rows(&mut self, i: usize) -> Vec<ClassCost> {
+        std::mem::take(&mut self.class_rows[..self.evaluated][i])
     }
 
     /// Drops all staged candidates, retaining column capacity.
@@ -217,217 +173,205 @@ impl ChunkBatch {
         self.attr_offsets.clear();
         self.attr_dims.clear();
         self.attr_cards.clear();
-        self.per_query.clear();
     }
+}
 
-    /// The mix-weighted accumulator columns, padded; exposed for the
-    /// pad-leak test.
-    #[cfg(test)]
-    fn acc_columns(&self) -> [&[f64]; 4] {
-        [
-            &self.acc_io_ms,
-            &self.acc_response_ms,
-            &self.acc_ios,
-            &self.acc_pages,
-        ]
+/// Class-independent geometry of one candidate's average fragment.
+#[derive(Debug, Clone, Copy)]
+struct Geometry {
+    /// Unrounded average rows per fragment.
+    rows_avg: f64,
+    /// Rounded rows per fragment (at least 1).
+    rows: u64,
+    /// Fragment size in pages (at least 1).
+    pages: u64,
+    fact_prefetch: u32,
+    /// Sequential full-scan time and I/O count of one fragment.
+    scan_ms: f64,
+    scan_ios: f64,
+    /// Size in pages of one bitmap vector over a fragment.
+    vector_pages: u64,
+    bitmap_prefetch: u32,
+    /// Sequential read time and I/O count of one bitmap vector.
+    vector_ms: f64,
+    vector_ios: f64,
+}
+
+impl Geometry {
+    fn of(tables: &CostTables, num_fragments: u64) -> Self {
+        let rows_avg = tables.fact_rows as f64 / num_fragments as f64;
+        let rows = (rows_avg.round() as u64).max(1);
+        let pages = tables.page.pages_for_rows(rows, tables.row_bytes).max(1);
+        let fact_prefetch = effective_prefetch(tables.fact_prefetch, pages);
+        let vector_pages = estimate::vector_pages(rows, tables.page);
+        let bitmap_prefetch = effective_prefetch(tables.bitmap_prefetch, vector_pages);
+        Self {
+            rows_avg,
+            rows,
+            pages,
+            fact_prefetch,
+            scan_ms: tables
+                .disk
+                .sequential_ms(pages, fact_prefetch, tables.page_bytes),
+            scan_ios: tables.disk.sequential_ios(pages, fact_prefetch) as f64,
+            vector_pages,
+            bitmap_prefetch,
+            vector_ms: tables
+                .disk
+                .sequential_ms(vector_pages, bitmap_prefetch, tables.page_bytes),
+            vector_ios: tables.disk.sequential_ios(vector_pages, bitmap_prefetch) as f64,
+        }
+    }
+}
+
+/// The response-model constants of a chunk, pre-clamped exactly as the
+/// scalar `estimated_response_ms` clamps them, so hoisting changes no
+/// bits.
+#[derive(Debug, Clone, Copy)]
+struct ResponseModel {
+    random_page_ms: f64,
+    disks: f64,
+    processors: f64,
+    overhead: f64,
+}
+
+/// The unweighted price of one query class in one candidate.
+#[derive(Debug, Clone, Copy)]
+struct ClassPrice {
+    use_scan: bool,
+    per_fragment_ms: f64,
+    busy_ms: f64,
+    response_ms: f64,
+    fact_pages: f64,
+    bitmap_pages: f64,
+    total_ios: f64,
+}
+
+/// The arithmetic of one (candidate, class) pair: access-path choice,
+/// device time, declustered response time and page/I/O totals — the
+/// exact expression sequence, branches and all, of the scalar
+/// `estimate_query` path. `fragments` is the expected number of
+/// fragments accessed, `touched` the Yao page hits per fragment (`0.0`
+/// when not `indexable`) and `bitmap_vectors` the bitmap vectors read
+/// per fragment.
+fn price_class(
+    g: &Geometry,
+    r: &ResponseModel,
+    fragments: f64,
+    touched: f64,
+    indexable: bool,
+    bitmap_vectors: f64,
+) -> ClassPrice {
+    let fetch_ms = touched * r.random_page_ms;
+    let bitmap_ms = bitmap_vectors * g.vector_ms + fetch_ms;
+    let use_scan = !indexable || g.scan_ms <= bitmap_ms;
+    let (per_fragment_ms, ios_pf, fact_pages_pf, bitmap_pages_pf) = if use_scan {
+        (g.scan_ms, g.scan_ios, g.pages as f64, 0.0)
+    } else {
+        let bitmap_ios = bitmap_vectors * g.vector_ios + touched;
+        let bitmap_pages_pf = bitmap_vectors * g.vector_pages as f64;
+        (bitmap_ms, bitmap_ios, touched, bitmap_pages_pf)
+    };
+    let busy_ms = fragments * per_fragment_ms;
+    let response_ms = if fragments <= 0.0 || per_fragment_ms <= 0.0 {
+        0.0
+    } else {
+        let disks_hit = fragments.min(r.disks).max(1.0);
+        let waves = (fragments / disks_hit).ceil().min(fragments);
+        let rt_io = waves * per_fragment_ms;
+        let rt_proc = busy_ms / r.processors;
+        rt_io.max(rt_proc) * r.overhead
+    };
+    ClassPrice {
+        use_scan,
+        per_fragment_ms,
+        busy_ms,
+        response_ms,
+        fact_pages: fragments * fact_pages_pf,
+        bitmap_pages: fragments * bitmap_pages_pf,
+        total_ios: fragments * ios_pf,
     }
 }
 
 /// Prices every staged candidate against every class of `tables`,
 /// returning one [`CandidateCost`] per candidate in staging order and
 /// draining the batch (column capacity retained for the next chunk).
+/// The unweighted per-class rows of every candidate stay in the batch
+/// for [`ChunkBatch::take_class_rows`].
 ///
 /// Bit-identical to calling
 /// [`CostModel::evaluate_layout`](crate::CostModel::evaluate_layout) on
-/// each candidate with the model the tables were built from.
-pub fn evaluate_chunk(tables: &CostTables, batch: &mut ChunkBatch) -> Vec<CandidateCost> {
-    evaluate_chunk_with(tables, batch, PerQueryDetail::Full)
-}
-
-/// [`evaluate_chunk`] with an explicit per-class detail level; see
-/// [`PerQueryDetail`]. Uses the automatically resolved kernel backend
-/// ([`KernelChoice::Auto`]: the `WARLOCK_KERNEL` environment variable,
-/// then CPU detection); hot paths that run many chunks resolve the
-/// backend once and call [`evaluate_chunk_kernel`] instead.
-pub fn evaluate_chunk_with(
-    tables: &CostTables,
-    batch: &mut ChunkBatch,
-    detail: PerQueryDetail,
-) -> Vec<CandidateCost> {
-    evaluate_chunk_kernel(
-        tables,
-        batch,
-        detail,
-        KernelBackend::resolve(KernelChoice::Auto),
-    )
-}
-
-/// [`evaluate_chunk_with`] on an explicitly resolved kernel backend.
-/// Every backend produces bit-identical results; the choice only trades
-/// instruction throughput (see [`crate::kernel`]).
+/// each candidate with the model the tables were built from. `backend`
+/// has a single value and changes nothing (see [`crate::kernel`]).
 pub fn evaluate_chunk_kernel(
     tables: &CostTables,
     batch: &mut ChunkBatch,
     detail: PerQueryDetail,
-    backend: KernelBackend,
+    _backend: KernelBackend,
 ) -> Vec<CandidateCost> {
-    evaluate_chunk_impl(tables, batch, detail, backend, None)
-}
-
-/// [`evaluate_chunk_kernel`], additionally gathering the **unweighted**
-/// per-class cost rows of every candidate into `class_rows` (cleared
-/// first; one `Vec<ClassCost>` per candidate, classes in mix order).
-/// The rows are copied straight out of the kernel's per-class output
-/// columns, so
-/// [`combine_class_costs`](crate::model::combine_class_costs) over them
-/// reproduces the weighted aggregates bit-for-bit under *any* share
-/// vector — the basis of the advisor's re-weight-warm evaluation cache.
-pub fn evaluate_chunk_rows(
-    tables: &CostTables,
-    batch: &mut ChunkBatch,
-    detail: PerQueryDetail,
-    backend: KernelBackend,
-    class_rows: &mut Vec<Vec<ClassCost>>,
-) -> Vec<CandidateCost> {
-    evaluate_chunk_impl(tables, batch, detail, backend, Some(class_rows))
-}
-
-fn evaluate_chunk_impl(
-    tables: &CostTables,
-    batch: &mut ChunkBatch,
-    detail: PerQueryDetail,
-    backend: KernelBackend,
-    mut class_rows: Option<&mut Vec<Vec<ClassCost>>>,
-) -> Vec<CandidateCost> {
-    let n = batch.fragmentations.len();
-    if let Some(rows) = class_rows.as_deref_mut() {
+    let ChunkBatch {
+        fragmentations,
+        num_fragments,
+        attr_offsets,
+        attr_dims,
+        attr_cards,
+        attr_bitmap,
+        yao_memo,
+        class_rows,
+        evaluated,
+    } = batch;
+    let n = fragmentations.len();
+    *evaluated = n;
+    let classes = tables.classes.len();
+    // Rows a caller took are empty with no capacity; the rest are
+    // reused.
+    if class_rows.len() < n {
+        class_rows.resize_with(n, Vec::new);
+    }
+    for rows in &mut class_rows[..n] {
         rows.clear();
-        rows.resize_with(n, || Vec::with_capacity(tables.classes.len()));
+        rows.reserve_exact(classes);
     }
-    if n == 0 {
-        batch.clear();
-        return Vec::new();
-    }
-    let kernel: &dyn CostKernel = backend.kernel();
-    let n_padded = n.next_multiple_of(LANES);
+    let response = ResponseModel {
+        random_page_ms: tables.random_page_ms,
+        disks: f64::from(tables.num_disks.max(1)),
+        processors: f64::from(tables.processors.max(1)),
+        overhead: tables.overhead.max(1.0),
+    };
 
-    // --- Stage A: class-independent geometry, once per candidate -------
-    batch.frag_rows_avg.clear();
-    batch.frag_rows.clear();
-    batch.fragment_pages.clear();
-    batch.fact_prefetch.clear();
-    batch.scan_ms.clear();
-    batch.scan_ios.clear();
-    batch.fragment_pages_f.clear();
-    batch.vector_pages.clear();
-    batch.bitmap_prefetch.clear();
-    batch.vector_ms.clear();
-    batch.vector_ios.clear();
-    batch.vector_pages_f.clear();
-    for i in 0..n {
-        let avg = tables.fact_rows as f64 / batch.num_fragments[i] as f64;
-        let rows = (avg.round() as u64).max(1);
-        let pages = tables.page.pages_for_rows(rows, tables.row_bytes).max(1);
-        let fact_prefetch = effective_prefetch(tables.fact_prefetch, pages);
-        batch.frag_rows_avg.push(avg);
-        batch.frag_rows.push(rows);
-        batch.fragment_pages.push(pages);
-        batch.fragment_pages_f.push(pages as f64);
-        batch.fact_prefetch.push(fact_prefetch);
-        batch.scan_ms.push(
-            tables
-                .disk
-                .sequential_ms(pages, fact_prefetch, tables.page_bytes),
-        );
-        batch
-            .scan_ios
-            .push(tables.disk.sequential_ios(pages, fact_prefetch) as f64);
-        let vector_pages = estimate::vector_pages(rows, tables.page);
-        let bitmap_prefetch = effective_prefetch(tables.bitmap_prefetch, vector_pages);
-        batch.vector_pages.push(vector_pages);
-        batch.vector_pages_f.push(vector_pages as f64);
-        batch.bitmap_prefetch.push(bitmap_prefetch);
-        batch.vector_ms.push(tables.disk.sequential_ms(
-            vector_pages,
-            bitmap_prefetch,
-            tables.page_bytes,
-        ));
-        batch
-            .vector_ios
-            .push(tables.disk.sequential_ios(vector_pages, bitmap_prefetch) as f64);
-    }
-    // Pad the kernel-facing geometry columns with inert lanes.
-    batch.scan_ms.resize(n_padded, 0.0);
-    batch.scan_ios.resize(n_padded, 0.0);
-    batch.fragment_pages_f.resize(n_padded, 0.0);
-    batch.vector_ms.resize(n_padded, 0.0);
-    batch.vector_ios.resize(n_padded, 0.0);
-    batch.vector_pages_f.resize(n_padded, 0.0);
-
-    batch.yao_k.clear();
-    batch.yao_k.resize(n, f64::NAN);
-    batch.yao_hits.clear();
-    batch.yao_hits.resize(n, 0.0);
-    batch.acc_io_ms.clear();
-    batch.acc_io_ms.resize(n_padded, 0.0);
-    batch.acc_response_ms.clear();
-    batch.acc_response_ms.resize(n_padded, 0.0);
-    batch.acc_ios.clear();
-    batch.acc_ios.resize(n_padded, 0.0);
-    batch.acc_pages.clear();
-    batch.acc_pages.resize(n_padded, 0.0);
-    batch.out_use_scan.clear();
-    batch.out_use_scan.resize(n_padded, 0.0);
-    batch.out_per_fragment_ms.clear();
-    batch.out_per_fragment_ms.resize(n_padded, 0.0);
-    batch.out_busy_ms.clear();
-    batch.out_busy_ms.resize(n_padded, 0.0);
-    batch.out_response_ms.clear();
-    batch.out_response_ms.resize(n_padded, 0.0);
-    batch.out_fact_pages.clear();
-    batch.out_fact_pages.resize(n_padded, 0.0);
-    batch.out_bitmap_pages.clear();
-    batch.out_bitmap_pages.resize(n_padded, 0.0);
-    batch.out_total_ios.clear();
-    batch.out_total_ios.resize(n_padded, 0.0);
-    batch.per_query.clear();
-    if detail == PerQueryDetail::Full {
-        batch
-            .per_query
-            .resize_with(n, || Vec::with_capacity(tables.classes.len()));
-    }
-
-    // Hoisted response-model constants — pre-clamped exactly as the
-    // scalar `estimated_response_ms` clamps them, so no bits change.
-    let disks = f64::from(tables.num_disks.max(1));
-    let processors = f64::from(tables.processors.max(1));
-    let overhead = tables.overhead.max(1.0);
-
-    for class in &tables.classes {
-        // --- Matching pass: predicates → table entries -----------------
-        batch.expected_fragments.clear();
-        batch.residual.clear();
-        batch.bitmap_vectors.clear();
-        batch.indexable.clear();
-        for i in 0..n {
-            let s = batch.attr_offsets[i] as usize;
-            let e = batch.attr_offsets[i + 1] as usize;
-            let dims = &batch.attr_dims[s..e];
-            let cards = &batch.attr_cards[s..e];
-            batch.attr_bitmap.clear();
+    let mut out = Vec::with_capacity(n);
+    for (i, fragmentation) in fragmentations.drain(..).enumerate() {
+        let g = Geometry::of(tables, num_fragments[i]);
+        let dims = &attr_dims[attr_offsets[i] as usize..attr_offsets[i + 1] as usize];
+        let cards = &attr_cards[attr_offsets[i] as usize..attr_offsets[i + 1] as usize];
+        // Per-candidate Yao memo: classes sharing a residual selectivity
+        // share the curve point.
+        let mut yao_k = f64::NAN;
+        let mut yao_hits = 0.0;
+        let mut io_cost_ms = 0.0;
+        let mut response_ms = 0.0;
+        let mut total_ios = 0.0;
+        let mut total_pages = 0.0;
+        let mut per_query = match detail {
+            PerQueryDetail::Full => Vec::with_capacity(classes),
+            PerQueryDetail::Omit => Vec::new(),
+        };
+        for class in &tables.classes {
+            // --- Matching: predicates → table entries -------------------
+            attr_bitmap.clear();
             let mut expected_fragments = 1.0f64;
             let mut residual = 1.0f64;
             for (&dim, &card) in dims.iter().zip(cards) {
                 match class.pred_for(dim) {
                     None => {
                         expected_fragments *= card as f64;
-                        batch.attr_bitmap.push(BitmapContrib::Resolved);
+                        attr_bitmap.push(BitmapContrib::Resolved);
                     }
                     Some(pred) => {
                         let entry = pred.entry_for(card);
                         expected_fragments *= entry.matched;
                         residual *= entry.residual_factor;
-                        batch.attr_bitmap.push(entry.bitmap);
+                        attr_bitmap.push(entry.bitmap);
                     }
                 }
             }
@@ -438,7 +382,7 @@ fn evaluate_chunk_impl(
             let mut indexable = true;
             for pred in &class.preds {
                 let contrib = match dims.iter().position(|&d| d == pred.dimension) {
-                    Some(j) => batch.attr_bitmap[j],
+                    Some(j) => attr_bitmap[j],
                     None => {
                         residual *= pred.residual_unfragmented;
                         pred.unfragmented_bitmap
@@ -452,175 +396,81 @@ fn evaluate_chunk_impl(
                     }
                 }
             }
-            batch.expected_fragments.push(expected_fragments);
-            batch.residual.push(residual.min(1.0));
-            batch.bitmap_vectors.push(bitmap_vectors);
-            batch.indexable.push(if indexable { 1.0 } else { 0.0 });
-        }
-        batch.expected_fragments.resize(n_padded, 0.0);
-        batch.bitmap_vectors.resize(n_padded, 0.0);
-        batch.indexable.resize(n_padded, 0.0);
 
-        // --- Yao stage: resolve touched pages per fragment through the
-        // per-candidate and persistent memos (scalar gather over the
-        // live prefix, in candidate order), batching the memo misses
-        // for one lane-kernel call. Misses are re-applied and inserted
-        // in gather order, so the memo ends in exactly the state the
-        // scalar path leaves it in (a key missed twice in one gather
-        // recomputes the same bits — `yao_page_hits` is pure).
-        batch.touched.clear();
-        batch.touched.resize(n_padded, 0.0);
-        batch.miss_idx.clear();
-        batch.miss_rows.clear();
-        batch.miss_pages.clear();
-        batch.miss_k.clear();
-        for i in 0..n {
-            if batch.indexable[i] == 0.0 {
-                // The scan path never consults the bitmap estimate.
-                continue;
-            }
-            let k = batch.frag_rows_avg[i] * batch.residual[i];
-            if batch.yao_k[i].to_bits() == k.to_bits() {
-                batch.touched[i] = batch.yao_hits[i];
-                continue;
-            }
-            let rows = batch.frag_rows[i];
-            let pages = batch.fragment_pages[i];
-            match batch.yao_memo.get(&(rows, pages, k.to_bits())) {
-                Some(&hits) => {
-                    batch.yao_k[i] = k;
-                    batch.yao_hits[i] = hits;
-                    batch.touched[i] = hits;
+            // --- Yao: touched pages per fragment, through the memos. The
+            // scan path never consults the bitmap estimate.
+            let touched = if !indexable {
+                0.0
+            } else {
+                let k = g.rows_avg * residual.min(1.0);
+                if yao_k.to_bits() != k.to_bits() {
+                    let key = (g.rows, g.pages, k.to_bits());
+                    yao_hits = match yao_memo.get(&key) {
+                        Some(&hits) => hits,
+                        None => {
+                            let hits = yao_page_hits(g.rows, g.pages, k);
+                            if yao_memo.len() < YAO_MEMO_CAP {
+                                yao_memo.insert(key, hits);
+                            }
+                            hits
+                        }
+                    };
+                    yao_k = k;
                 }
-                None => {
-                    batch.miss_idx.push(i);
-                    batch.miss_rows.push(rows);
-                    batch.miss_pages.push(pages);
-                    batch.miss_k.push(k);
-                }
-            }
-        }
-        let misses = batch.miss_idx.len();
-        if misses > 0 {
-            let m_padded = misses.next_multiple_of(LANES);
-            batch.miss_rows.resize(m_padded, 0);
-            batch.miss_pages.resize(m_padded, 0);
-            batch.miss_k.resize(m_padded, 0.0);
-            batch.miss_hits.clear();
-            batch.miss_hits.resize(m_padded, 0.0);
-            kernel.yao_pass(
-                &batch.miss_rows,
-                &batch.miss_pages,
-                &batch.miss_k,
-                &mut batch.miss_hits,
+                yao_hits
+            };
+
+            // --- Arithmetic, then the weighted accumulation: one
+            // `share * value` term per class, in class order.
+            let p = price_class(
+                &g,
+                &response,
+                expected_fragments,
+                touched,
+                indexable,
+                bitmap_vectors,
             );
-            for j in 0..misses {
-                let i = batch.miss_idx[j];
-                let hits = batch.miss_hits[j];
-                if batch.yao_memo.len() < YAO_MEMO_CAP {
-                    batch.yao_memo.insert(
-                        (
-                            batch.miss_rows[j],
-                            batch.miss_pages[j],
-                            batch.miss_k[j].to_bits(),
-                        ),
-                        hits,
-                    );
-                }
-                batch.yao_k[i] = batch.miss_k[j];
-                batch.yao_hits[i] = hits;
-                batch.touched[i] = hits;
-            }
-        }
-
-        // --- Arithmetic pass: the backend kernel, elementwise ----------
-        let inp = CostPassInput {
-            fragments: &batch.expected_fragments,
-            touched: &batch.touched,
-            indexable: &batch.indexable,
-            scan_ms: &batch.scan_ms,
-            scan_ios: &batch.scan_ios,
-            fragment_pages: &batch.fragment_pages_f,
-            vector_ms: &batch.vector_ms,
-            vector_ios: &batch.vector_ios,
-            vector_pages: &batch.vector_pages_f,
-            bitmap_vectors: &batch.bitmap_vectors,
-            random_page_ms: tables.random_page_ms,
-            disks,
-            processors,
-            overhead,
-            share: class.share,
-        };
-        let mut out = CostPassOutput {
-            out_use_scan: &mut batch.out_use_scan,
-            out_per_fragment_ms: &mut batch.out_per_fragment_ms,
-            out_busy_ms: &mut batch.out_busy_ms,
-            out_response_ms: &mut batch.out_response_ms,
-            out_fact_pages: &mut batch.out_fact_pages,
-            out_bitmap_pages: &mut batch.out_bitmap_pages,
-            out_total_ios: &mut batch.out_total_ios,
-            acc_io_ms: &mut batch.acc_io_ms,
-            acc_response_ms: &mut batch.acc_response_ms,
-            acc_ios: &mut batch.acc_ios,
-            acc_pages: &mut batch.acc_pages,
-        };
-        kernel.cost_pass(&inp, &mut out);
-
-        // Gather the unweighted per-class rows before the next class
-        // overwrites the output columns. `pages` performs the same
-        // `fact + bitmap` add the kernels feed their accumulators, so
-        // recombination reproduces `acc_pages` bit-for-bit.
-        if let Some(rows) = class_rows.as_deref_mut() {
-            for (i, row) in rows.iter_mut().enumerate() {
-                row.push(ClassCost {
-                    busy_ms: batch.out_busy_ms[i],
-                    response_ms: batch.out_response_ms[i],
-                    total_ios: batch.out_total_ios[i],
-                    pages: batch.out_fact_pages[i] + batch.out_bitmap_pages[i],
+            let pages = p.fact_pages + p.bitmap_pages;
+            io_cost_ms += class.share * p.busy_ms;
+            response_ms += class.share * p.response_ms;
+            total_ios += class.share * p.total_ios;
+            total_pages += class.share * pages;
+            class_rows[i].push(ClassCost {
+                busy_ms: p.busy_ms,
+                response_ms: p.response_ms,
+                total_ios: p.total_ios,
+                pages,
+            });
+            if detail == PerQueryDetail::Full {
+                per_query.push(QueryCost {
+                    query_name: class.name.clone(),
+                    path: if p.use_scan {
+                        AccessPath::FullScan
+                    } else {
+                        AccessPath::BitmapFetch
+                    },
+                    fragments_accessed: expected_fragments,
+                    fragment_pages: g.pages,
+                    fact_pages: p.fact_pages,
+                    bitmap_pages: p.bitmap_pages,
+                    total_ios: p.total_ios,
+                    busy_ms: p.busy_ms,
+                    per_fragment_ms: p.per_fragment_ms,
+                    response_ms: p.response_ms,
+                    fact_prefetch: g.fact_prefetch,
+                    bitmap_prefetch: g.bitmap_prefetch,
+                    selected_rows: class.selected_rows,
                 });
             }
         }
-
-        if detail == PerQueryDetail::Omit {
-            continue;
-        }
-        for i in 0..n {
-            batch.per_query[i].push(QueryCost {
-                query_name: class.name.clone(),
-                path: if batch.out_use_scan[i] != 0.0 {
-                    AccessPath::FullScan
-                } else {
-                    AccessPath::BitmapFetch
-                },
-                fragments_accessed: batch.expected_fragments[i],
-                fragment_pages: batch.fragment_pages[i],
-                fact_pages: batch.out_fact_pages[i],
-                bitmap_pages: batch.out_bitmap_pages[i],
-                total_ios: batch.out_total_ios[i],
-                busy_ms: batch.out_busy_ms[i],
-                per_fragment_ms: batch.out_per_fragment_ms[i],
-                response_ms: batch.out_response_ms[i],
-                fact_prefetch: batch.fact_prefetch[i],
-                bitmap_prefetch: batch.bitmap_prefetch[i],
-                selected_rows: class.selected_rows,
-            });
-        }
-    }
-
-    // --- Finalize: move fragmentations and per-query details out -------
-    let mut out = Vec::with_capacity(n);
-    for (i, fragmentation) in batch.fragmentations.drain(..).enumerate() {
         out.push(CandidateCost {
             fragmentation,
-            num_fragments: batch.num_fragments[i],
-            io_cost_ms: batch.acc_io_ms[i],
-            response_ms: batch.acc_response_ms[i],
-            total_ios: batch.acc_ios[i],
-            total_pages: batch.acc_pages[i],
-            per_query: match detail {
-                PerQueryDetail::Full => std::mem::take(&mut batch.per_query[i]),
-                PerQueryDetail::Omit => Vec::new(),
-            },
+            num_fragments: num_fragments[i],
+            io_cost_ms,
+            response_ms,
+            total_ios,
+            total_pages,
+            per_query,
         });
     }
     batch.clear();
@@ -631,6 +481,7 @@ fn evaluate_chunk_impl(
 mod tests {
     use super::*;
     use crate::model::CostModel;
+    use crate::KernelChoice;
     use warlock_bitmap::{BitmapScheme, SchemeConfig};
     use warlock_schema::{apb1_like_schema, Apb1Config, StarSchema};
     use warlock_storage::SystemConfig;
@@ -667,6 +518,14 @@ mod tests {
         ]
     }
 
+    fn evaluate(
+        tables: &CostTables,
+        batch: &mut ChunkBatch,
+        detail: PerQueryDetail,
+    ) -> Vec<CandidateCost> {
+        evaluate_chunk_kernel(tables, batch, detail, KernelBackend::Scalar)
+    }
+
     #[test]
     fn chunk_matches_scalar_bit_for_bit() {
         let f = fixture();
@@ -678,8 +537,8 @@ mod tests {
             let layout = FragmentLayout::new_in(&mut scratch, &f.schema, frag, model.fact_index());
             batch.push(layout, &mut scratch);
         }
-        let batched = evaluate_chunk(&tables, &mut batch);
-        assert!(batch.is_empty(), "evaluate_chunk must drain the batch");
+        let batched = evaluate(&tables, &mut batch, PerQueryDetail::Full);
+        assert!(batch.is_empty(), "evaluation must drain the batch");
         let scalar: Vec<_> = candidates()
             .iter()
             .map(|frag| model.evaluate(frag))
@@ -708,11 +567,8 @@ mod tests {
             .iter()
             .map(|frag| model.evaluate(frag))
             .collect();
-        for backend in [
-            KernelBackend::Scalar,
-            KernelBackend::Lanes,
-            KernelBackend::detect(),
-        ] {
+        for spelled in ["auto", "scalar", "lanes", "avx2"] {
+            let backend = KernelBackend::resolve(spelled.parse::<KernelChoice>().unwrap());
             let mut scratch = LayoutScratch::new();
             let mut batch = ChunkBatch::new();
             for frag in candidates() {
@@ -723,64 +579,11 @@ mod tests {
             let batched = evaluate_chunk_kernel(&tables, &mut batch, PerQueryDetail::Full, backend);
             assert_eq!(batched.len(), scalar.len());
             for (b, s) in batched.iter().zip(&scalar) {
-                assert_eq!(b, s, "backend {}", backend.name());
+                assert_eq!(b, s, "kernel = {spelled}");
                 assert_eq!(b.io_cost_ms.to_bits(), s.io_cost_ms.to_bits());
                 assert_eq!(b.response_ms.to_bits(), s.response_ms.to_bits());
                 assert_eq!(b.total_ios.to_bits(), s.total_ios.to_bits());
                 assert_eq!(b.total_pages.to_bits(), s.total_pages.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn padded_tail_lanes_stay_inert() {
-        let f = fixture();
-        let model = CostModel::new(&f.schema, &f.system, &f.scheme, &f.mix);
-        let tables = model.tables();
-        for backend in [
-            KernelBackend::Scalar,
-            KernelBackend::Lanes,
-            KernelBackend::detect(),
-        ] {
-            let mut scratch = LayoutScratch::new();
-            let mut batch = ChunkBatch::new();
-            // Deliberately ragged sizes (1, 2, 3, 5, 6) so every pad
-            // width short of a full block occurs.
-            for take in [1usize, 2, 3, 5, 6] {
-                let frags: Vec<_> = candidates().into_iter().take(take).collect();
-                for frag in frags.clone() {
-                    let layout =
-                        FragmentLayout::new_in(&mut scratch, &f.schema, frag, model.fact_index());
-                    batch.push(layout, &mut scratch);
-                }
-                let memo_before = batch.yao_memo.len();
-                let costs =
-                    evaluate_chunk_kernel(&tables, &mut batch, PerQueryDetail::Full, backend);
-                // Results: exactly one per live candidate, scalar-equal.
-                assert_eq!(costs.len(), take);
-                for (b, frag) in costs.iter().zip(&frags) {
-                    assert_eq!(b, &model.evaluate(frag), "backend {}", backend.name());
-                }
-                // Pad lanes never accumulate: every accumulator slot
-                // past the live prefix is exactly +0.0.
-                let n_padded = take.next_multiple_of(LANES);
-                for col in batch.acc_columns() {
-                    assert_eq!(col.len(), n_padded);
-                    for (i, v) in col.iter().enumerate().skip(take) {
-                        assert_eq!(
-                            v.to_bits(),
-                            0.0f64.to_bits(),
-                            "backend {}: pad lane {i} leaked into an accumulator",
-                            backend.name()
-                        );
-                    }
-                }
-                // Pad lanes never touch the Yao memo: the first round
-                // populates it from live candidates only, and re-running
-                // the same candidates adds nothing (inert `rows = 0`
-                // pads would have inserted `(0, 0, 0)` keys).
-                assert!(!batch.yao_memo.contains_key(&(0, 0, 0.0f64.to_bits())));
-                let _ = memo_before; // growth is expected; leakage is not
             }
         }
     }
@@ -805,7 +608,7 @@ mod tests {
                     FragmentLayout::new_in(&mut scratch, &f.schema, frag, model.fact_index());
                 batch.push(layout, &mut scratch);
             }
-            let batched = evaluate_chunk(&tables, &mut batch);
+            let batched = evaluate(&tables, &mut batch, PerQueryDetail::Full);
             for (b, frag) in batched.iter().zip(&frags) {
                 assert_eq!(b, &model.evaluate(frag), "round {round}");
             }
@@ -823,7 +626,7 @@ mod tests {
             let layout = FragmentLayout::new_in(&mut scratch, &f.schema, frag, model.fact_index());
             batch.push(layout, &mut scratch);
         }
-        let lean = evaluate_chunk_with(&tables, &mut batch, PerQueryDetail::Omit);
+        let lean = evaluate(&tables, &mut batch, PerQueryDetail::Omit);
         for (l, frag) in lean.iter().zip(candidates()) {
             let s = model.evaluate(&frag);
             assert!(l.per_query.is_empty());
@@ -839,7 +642,7 @@ mod tests {
             let layout = FragmentLayout::new_in(&mut scratch, &f.schema, frag, model.fact_index());
             batch.push(layout, &mut scratch);
         }
-        let full = evaluate_chunk(&tables, &mut batch);
+        let full = evaluate(&tables, &mut batch, PerQueryDetail::Full);
         for (b, frag) in full.iter().zip(candidates()) {
             assert_eq!(b, &model.evaluate(&frag));
         }
@@ -869,51 +672,40 @@ mod tests {
             CostModel::new(&f.schema, &f.system, &f.scheme, &reweighted).fingerprint()
         );
 
-        for backend in [
-            KernelBackend::Scalar,
-            KernelBackend::Lanes,
-            KernelBackend::detect(),
+        let mut scratch = LayoutScratch::new();
+        let mut batch = ChunkBatch::new();
+        // Evaluate twice over the same batch, taking only the second
+        // chunk's rows: rows left in place by the first chunk must not
+        // leak into the second.
+        for frag in candidates().into_iter().take(2) {
+            let layout = FragmentLayout::new_in(&mut scratch, &f.schema, frag, model.fact_index());
+            batch.push(layout, &mut scratch);
+        }
+        evaluate(&tables, &mut batch, PerQueryDetail::Omit);
+        for frag in candidates() {
+            let layout = FragmentLayout::new_in(&mut scratch, &f.schema, frag, model.fact_index());
+            batch.push(layout, &mut scratch);
+        }
+        let costs = evaluate(&tables, &mut batch, PerQueryDetail::Omit);
+        let rows: Vec<_> = (0..costs.len()).map(|i| batch.take_class_rows(i)).collect();
+        for (mix, model_at) in [
+            (&f.mix, &model),
+            (
+                &reweighted,
+                &CostModel::new(&f.schema, &f.system, &f.scheme, &reweighted),
+            ),
         ] {
-            let mut scratch = LayoutScratch::new();
-            let mut batch = ChunkBatch::new();
-            for frag in candidates() {
-                let layout =
-                    FragmentLayout::new_in(&mut scratch, &f.schema, frag, model.fact_index());
-                batch.push(layout, &mut scratch);
-            }
-            let mut rows = Vec::new();
-            let costs = evaluate_chunk_rows(
-                &tables,
-                &mut batch,
-                PerQueryDetail::Omit,
-                backend,
-                &mut rows,
-            );
-            assert_eq!(rows.len(), costs.len());
-            for (mix, model_at) in [
-                (&f.mix, &model),
-                (
-                    &reweighted,
-                    &CostModel::new(&f.schema, &f.system, &f.scheme, &reweighted),
-                ),
-            ] {
-                let shares: Vec<f64> = mix.iter().map(|(_, s)| s).collect();
-                for (c, row) in costs.iter().zip(&rows) {
-                    assert_eq!(row.len(), mix.len());
-                    let combined =
-                        combine_class_costs(c.fragmentation.clone(), c.num_fragments, row, &shares);
-                    let fresh = model_at.evaluate(&c.fragmentation);
-                    assert_eq!(
-                        combined.io_cost_ms.to_bits(),
-                        fresh.io_cost_ms.to_bits(),
-                        "backend {}",
-                        backend.name()
-                    );
-                    assert_eq!(combined.response_ms.to_bits(), fresh.response_ms.to_bits());
-                    assert_eq!(combined.total_ios.to_bits(), fresh.total_ios.to_bits());
-                    assert_eq!(combined.total_pages.to_bits(), fresh.total_pages.to_bits());
-                    assert_eq!(combined.num_fragments, fresh.num_fragments);
-                }
+            let shares: Vec<f64> = mix.iter().map(|(_, s)| s).collect();
+            for (c, row) in costs.iter().zip(&rows) {
+                assert_eq!(row.len(), mix.len());
+                let combined =
+                    combine_class_costs(c.fragmentation.clone(), c.num_fragments, row, &shares);
+                let fresh = model_at.evaluate(&c.fragmentation);
+                assert_eq!(combined.io_cost_ms.to_bits(), fresh.io_cost_ms.to_bits());
+                assert_eq!(combined.response_ms.to_bits(), fresh.response_ms.to_bits());
+                assert_eq!(combined.total_ios.to_bits(), fresh.total_ios.to_bits());
+                assert_eq!(combined.total_pages.to_bits(), fresh.total_pages.to_bits());
+                assert_eq!(combined.num_fragments, fresh.num_fragments);
             }
         }
     }
@@ -951,6 +743,6 @@ mod tests {
         let model = CostModel::new(&f.schema, &f.system, &f.scheme, &f.mix);
         let tables = model.tables();
         let mut batch = ChunkBatch::new();
-        assert!(evaluate_chunk(&tables, &mut batch).is_empty());
+        assert!(evaluate(&tables, &mut batch, PerQueryDetail::Full).is_empty());
     }
 }

@@ -24,13 +24,10 @@
 //!   candidates against a weighted query mix,
 //! * [`tables`] — per-dimension cost tables precomputed once per model
 //!   ([`CostTables`](tables::CostTables)),
-//! * [`batch`] — SoA batched evaluation of whole candidate chunks
-//!   ([`evaluate_chunk`](batch::evaluate_chunk)), bit-identical to the
-//!   scalar path,
-//! * [`kernel`] — lane-structured costing kernels behind runtime
-//!   backend dispatch (scalar reference / portable lane arrays /
-//!   AVX2), all bit-identical by construction.
-
+//! * [`batch`] — batched evaluation of whole candidate chunks
+//!   ([`evaluate_chunk_kernel`](batch::evaluate_chunk_kernel)),
+//!   bit-identical to the scalar path,
+//! * [`kernel`] — the retired kernel knob, kept as one-value types.
 //!
 //! # Example
 //!
@@ -53,6 +50,7 @@
 //! assert!(monthly.response_ms < baseline.response_ms);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod access;
@@ -66,15 +64,9 @@ pub mod tables;
 pub mod yao;
 
 pub use access::{AccessPath, QueryCost};
-pub use batch::{
-    evaluate_chunk, evaluate_chunk_kernel, evaluate_chunk_rows, evaluate_chunk_with, ChunkBatch,
-    PerQueryDetail,
-};
+pub use batch::{evaluate_chunk_kernel, ChunkBatch, PerQueryDetail};
 pub use contention::{contention_estimate, load_curve, ContentionEstimate, LoadPoint};
-pub use kernel::{
-    AlignedF64Col, CostKernel, CostPassInput, CostPassOutput, KernelBackend, KernelChoice,
-    KERNEL_ENV, LANES,
-};
+pub use kernel::{KernelBackend, KernelChoice};
 pub use model::{combine_class_costs, fingerprint128, CandidateCost, ClassCost, CostModel};
 pub use prefetch::effective_prefetch;
 pub use response::estimated_response_ms;

@@ -46,13 +46,13 @@ pub struct ClassCost {
     /// Physical I/Os of the class.
     pub total_ios: f64,
     /// Pages read by the class (`fact_pages + bitmap_pages`, summed in
-    /// the kernel's order).
+    /// the batched evaluator's order).
     pub pages: f64,
 }
 
 /// Recombines per-class unweighted rows under `shares` into the
 /// aggregate [`CandidateCost`] fields, using the exact accumulation
-/// sequence of every costing backend (`acc += share * value`, one term
+/// sequence of the batched evaluator (`acc += share * value`, one term
 /// per class in mix order, from `0.0`) — so the result is bit-identical
 /// to evaluating the candidate fresh under a mix with those shares.
 /// `per_query` detail is not reconstructible from the rows and is left

@@ -1,4 +1,4 @@
-//! Batched-vs-scalar costing equivalence: [`evaluate_chunk_with`] over
+//! Batched-vs-scalar costing equivalence: [`evaluate_chunk_kernel`] over
 //! any chunking of a candidate stream must reproduce the scalar
 //! `CostModel::evaluate_layout` **bit for bit** — aggregates and
 //! per-class detail — for arbitrary valid schemas, mixes and systems,
@@ -11,12 +11,15 @@ use proptest::prelude::*;
 use warlock::prelude::*;
 use warlock_bitmap::{BitmapScheme, SchemeConfig};
 use warlock_cost::{
-    evaluate_chunk_kernel, evaluate_chunk_with, CandidateCost, ChunkBatch, CostModel, CostTables,
-    KernelBackend, KernelChoice, PerQueryDetail,
+    evaluate_chunk_kernel, CandidateCost, ChunkBatch, CostModel, CostTables, KernelBackend,
+    KernelChoice, PerQueryDetail,
 };
 use warlock_fragment::{enumerate_candidates_ranged, FragmentLayout, Fragmentation, LayoutScratch};
 use warlock_schema::{random_schema, RandomSchemaConfig, StarSchema};
 use warlock_workload::{GeneratorConfig, QueryMix, WorkloadGenerator};
+
+/// Every value the retired `kernel` knob still accepts.
+const RETIRED_KERNEL_SPELLINGS: [&str; 4] = ["auto", "scalar", "lanes", "avx2"];
 
 fn random_inputs(seed: u64) -> (StarSchema, QueryMix, SystemConfig) {
     let schema = random_schema(
@@ -87,16 +90,15 @@ fn assert_reports_bit_identical(a: &warlock::AdvisorReport, b: &warlock::Advisor
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Any chunking of the candidate stream — including chunk size 1 —
-    /// prices every candidate bit-identically to the scalar path, with
-    /// full per-class detail.
+    /// Every chunking of the candidate stream — chunk sizes 1, 2, 7 and
+    /// 64, each over the same candidates and one reused batch — prices
+    /// every candidate bit-identically to the scalar path, with full
+    /// per-class detail.
     #[test]
     fn batched_chunks_match_scalar_bit_for_bit(
         seed in 0u64..4096,
-        chunk_pick in 0usize..4,
         ranged in any::<bool>(),
     ) {
-        let chunk = [1usize, 2, 7, 64][chunk_pick];
         let (schema, mix, system) = random_inputs(seed);
         let scheme = BitmapScheme::derive(&schema, &mix, SchemeConfig::default());
         let model = CostModel::new(&schema, &system, &scheme, &mix);
@@ -106,31 +108,36 @@ proptest! {
 
         let mut scratch = LayoutScratch::new();
         let mut batch = ChunkBatch::new();
-        for group in candidates.chunks(chunk) {
-            for frag in group {
-                let layout = FragmentLayout::new_in(
-                    &mut scratch,
-                    &schema,
-                    frag.clone(),
-                    model.fact_index(),
+        for chunk in [1usize, 2, 7, 64] {
+            for group in candidates.chunks(chunk) {
+                for frag in group {
+                    let layout = FragmentLayout::new_in(
+                        &mut scratch,
+                        &schema,
+                        frag.clone(),
+                        model.fact_index(),
+                    );
+                    batch.push(layout, &mut scratch);
+                }
+                let batched = evaluate_chunk_kernel(
+                    &tables,
+                    &mut batch,
+                    PerQueryDetail::Full,
+                    KernelBackend::Scalar,
                 );
-                batch.push(layout, &mut scratch);
-            }
-            let batched = evaluate_chunk_with(&tables, &mut batch, PerQueryDetail::Full);
-            prop_assert!(batch.is_empty());
-            prop_assert_eq!(batched.len(), group.len());
-            for (b, frag) in batched.iter().zip(group) {
-                let layout = FragmentLayout::new(&schema, frag.clone(), model.fact_index());
-                assert_cost_bits(b, &model.evaluate_layout(&layout));
+                prop_assert!(batch.is_empty());
+                prop_assert_eq!(batched.len(), group.len());
+                for (b, frag) in batched.iter().zip(group) {
+                    let layout = FragmentLayout::new(&schema, frag.clone(), model.fact_index());
+                    assert_cost_bits(b, &model.evaluate_layout(&layout));
+                }
             }
         }
     }
 
-    /// Every costing kernel backend — the scalar reference, the
-    /// portable lane-array path, and whatever CPU detection picks
-    /// (AVX2 on capable hardware) — prices every candidate
-    /// bit-identically to the scalar `CostModel` path at every chunk
-    /// size, with full per-class detail.
+    /// Every spelling the retired kernel knob accepts resolves to a
+    /// backend that prices every candidate bit-identically to the scalar
+    /// `CostModel` path at every chunk size, with full per-class detail.
     #[test]
     fn every_backend_matches_scalar_bit_for_bit(
         seed in 0u64..4096,
@@ -145,14 +152,8 @@ proptest! {
         let tables = CostTables::build(&model, range_options);
         let candidates = candidate_sample(&schema, range_options);
 
-        let backends = [
-            KernelBackend::resolve(KernelChoice::Scalar),
-            KernelBackend::resolve(KernelChoice::Lanes),
-            // On AVX2 hardware this is the intrinsics backend; elsewhere
-            // it degrades to the lane-array path (still a valid run).
-            KernelBackend::resolve(KernelChoice::Avx2),
-        ];
-        for backend in backends {
+        for spelled in RETIRED_KERNEL_SPELLINGS {
+            let backend = KernelBackend::resolve(spelled.parse::<KernelChoice>().unwrap());
             let mut scratch = LayoutScratch::new();
             let mut batch = ChunkBatch::new();
             for group in candidates.chunks(chunk) {
@@ -200,7 +201,8 @@ proptest! {
                 model.fact_index(),
             );
             batch.push(layout, &mut scratch);
-            let lean = evaluate_chunk_with(&tables, &mut batch, PerQueryDetail::Omit);
+            let lean =
+                evaluate_chunk_kernel(&tables, &mut batch, PerQueryDetail::Omit, KernelBackend::Scalar);
             let scalar = model.evaluate(&frag);
             prop_assert!(lean[0].per_query.is_empty());
             prop_assert_eq!(lean[0].io_cost_ms.to_bits(), scalar.io_cost_ms.to_bits());
@@ -265,17 +267,17 @@ proptest! {
         assert_reports_bit_identical(&spanning, &cold);
     }
 
-    /// Full sessions pinned to each kernel backend — including a run
-    /// spanning the session-cache hit/miss boundary, where memoized and
-    /// freshly costed candidates mix in one chunk — produce reports
-    /// bit-identical to the forced-scalar session.
+    /// Sessions configured with each spelling of the retired kernel
+    /// knob — including a run spanning the session-cache hit/miss
+    /// boundary, where memoized and freshly costed candidates mix in one
+    /// chunk — produce reports bit-identical to the default session.
     #[test]
     fn forced_backends_agree_across_the_cache_boundary(
         seed in 0u64..1024,
         chunk_pick in 0usize..3,
     ) {
         let chunk = [1usize, 17, 100_000][chunk_pick];
-        let run_with = |choice: KernelChoice| {
+        let run_with = |kernel: KernelChoice| {
             let (schema, mix, system) = random_inputs(seed);
             let mut session = Warlock::builder()
                 .schema(schema)
@@ -283,9 +285,9 @@ proptest! {
                 .mix(mix)
                 .config(AdvisorConfig {
                     max_dimensionality: 1,
+                    kernel,
                     ..Default::default()
                 })
-                .kernel(choice)
                 .chunk_size(chunk)
                 .build()
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
@@ -295,17 +297,17 @@ proptest! {
             session
                 .set_config(AdvisorConfig {
                     max_dimensionality: 2,
-                    kernel: choice,
+                    kernel,
                     ..Default::default()
                 })
                 .unwrap();
             session.run().unwrap()
         };
 
-        let scalar = run_with(KernelChoice::Scalar);
-        for choice in [KernelChoice::Lanes, KernelChoice::Avx2, KernelChoice::Auto] {
-            let report = run_with(choice);
-            assert_reports_bit_identical(&report, &scalar);
+        let default = run_with(KernelChoice::default());
+        for spelled in RETIRED_KERNEL_SPELLINGS {
+            let report = run_with(spelled.parse().unwrap());
+            assert_reports_bit_identical(&report, &default);
         }
     }
 }
