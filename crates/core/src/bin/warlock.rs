@@ -5,7 +5,7 @@
 //! advisor session, and prints the requested outputs.
 //!
 //! ```text
-//! warlock [-j N | --parallelism N] [--max-candidates N] [--chunk-size N] <config-file> [command]
+//! warlock <config-file> [command]
 //!
 //! commands:
 //!   rank              ranked fragmentation candidates (default)
@@ -15,20 +15,16 @@
 //!   excluded          threshold-excluded candidates with reasons
 //!   csv               ranking as CSV (for plotting)
 //!   json              complete advisory as JSON (ranking + analysis + allocation)
-//!
-//! `-j`/`--parallelism` overrides the configuration file's evaluation
-//! worker count (0 = auto, 1 = serial); `--chunk-size` overrides the
-//! streaming evaluation chunk (0 = auto); any value of these yields
-//! identical advice. `--max-candidates` overrides the candidate-space
-//! budget (0 = unlimited): runs whose exact predicted space exceeds it
-//! fail up front instead of grinding.
 //! ```
+//!
+//! The advisor's knobs (`parallelism`, `max_candidates`, `chunk_size`,
+//! …) are set in the configuration file's `[advisor]` section.
 //!
 //! Exit codes: 0 on success (including an empty ranking — `rank`,
 //! `csv`, `json` and `excluded` report whatever survived), 1 on runtime
 //! failures (unreadable or invalid input, `analyze`/`allocate` rank out
-//! of range), 2 on usage errors (unknown command, malformed rank
-//! argument).
+//! of range), 2 on usage errors (unknown command or option, malformed
+//! rank argument).
 
 use std::env;
 use std::process::ExitCode;
@@ -40,52 +36,14 @@ use warlock::report::{
 };
 use warlock::Warlock;
 
-const USAGE: &str = "usage: warlock [-j N | --parallelism N] [--max-candidates N] [--chunk-size N] <config-file> [rank|analyze [N]|allocate [N]|recommend|excluded|csv|json]\n       warlock init   (print a starter configuration)";
-
-/// Extracts every occurrence of a `--flag VALUE` pair from `args`,
-/// returning the last parsed value. `Ok(None)` when the flag is absent;
-/// `Err` (with a message already printed) on a missing or malformed
-/// value.
-fn take_flag<T: std::str::FromStr>(
-    args: &mut Vec<String>,
-    names: &[&str],
-    what: &str,
-) -> Result<Option<T>, ()> {
-    let mut found = None;
-    while let Some(pos) = args.iter().position(|a| names.contains(&a.as_str())) {
-        let flag = args.remove(pos);
-        if pos >= args.len() {
-            eprintln!("warlock: `{flag}` needs {what}\n{USAGE}");
-            return Err(());
-        }
-        let value = args.remove(pos);
-        match value.parse::<T>() {
-            Ok(n) => found = Some(n),
-            Err(_) => {
-                eprintln!("warlock: invalid {what} `{value}` for `{flag}`");
-                return Err(());
-            }
-        }
-    }
-    Ok(found)
-}
+const USAGE: &str = "usage: warlock <config-file> [rank|analyze [N]|allocate [N]|recommend|excluded|csv|json]\n       warlock init   (print a starter configuration)";
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = env::args().skip(1).collect();
-    // Extract the option flags wherever they appear; the remaining
-    // arguments stay positional.
-    let Ok(parallelism) = take_flag::<usize>(&mut args, &["-j", "--parallelism"], "a worker count")
-    else {
+    let args: Vec<String> = env::args().skip(1).collect();
+    if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
+        eprintln!("warlock: unknown option `{flag}`\n{USAGE}");
         return ExitCode::from(2);
-    };
-    let Ok(max_candidates) =
-        take_flag::<u64>(&mut args, &["--max-candidates"], "a candidate budget")
-    else {
-        return ExitCode::from(2);
-    };
-    let Ok(chunk_size) = take_flag::<usize>(&mut args, &["--chunk-size"], "a chunk size") else {
-        return ExitCode::from(2);
-    };
+    }
     // `warlock init` emits the APB-1-like starter configuration.
     if args.first().map(String::as_str) == Some("init") {
         print!("{}", render_config(&demo_config()));
@@ -113,7 +71,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let mut session = match Warlock::from_config_path(path) {
+    let session = match Warlock::from_config_path(path) {
         Ok(s) => s,
         Err(e) => {
             // `from_config_path` errors already name the offending file.
@@ -121,23 +79,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if parallelism.is_some() || max_candidates.is_some() || chunk_size.is_some() {
-        let mut config = session.config().clone();
-        if let Some(workers) = parallelism {
-            config.parallelism = workers;
-        }
-        if let Some(budget) = max_candidates {
-            config.max_candidates = budget;
-        }
-        if let Some(chunk) = chunk_size {
-            config.chunk_size = chunk;
-        }
-        if let Err(e) = session.set_config(config) {
-            eprintln!("warlock: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-
     let outcome = match command {
         "rank" => session.rank().map(|r| print!("{}", render_ranking(r))),
         "csv" => session.rank().map(|r| print!("{}", ranking_csv(r))),

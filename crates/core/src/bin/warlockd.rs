@@ -12,9 +12,8 @@
 //!
 //! - The positional `<config-file>` loads as a warehouse named
 //!   `default`; `--warehouse NAME=PATH` (repeatable) loads more. The
-//!   first loaded warehouse is the **default route** for unrouted and
-//!   protocol-v1 requests unless `--default-warehouse NAME` picks
-//!   another.
+//!   first loaded warehouse is the **default route** for unrouted
+//!   requests unless `--default-warehouse NAME` picks another.
 //! - `--stdio` reads requests from stdin and writes responses to
 //!   stdout, one JSON object per line — scriptable from anything that
 //!   can spawn a process. This is the default when no transport flag is
@@ -23,17 +22,16 @@
 //!   one thread per connection, speaking the same line protocol.
 //! - `--http ADDR` serves the same op set as minimal HTTP/1.1
 //!   (`POST /v2/<op>`, JSON body in/out — see [`warlock::http`]), and
-//!   may be combined with `--listen`.
-//! - `-j`/`--parallelism` overrides every warehouse's evaluation worker
-//!   count (0 = auto, 1 = serial); `--max-candidates` and
-//!   `--chunk-size` override the candidate-space budget (0 = unlimited)
-//!   and the streaming evaluation chunk (0 = auto). A wire `reload`
-//!   re-reads the warehouse's file as written — without these CLI
-//!   overrides.
+//!   may be combined with `--listen`. Both network transports run the
+//!   same accept loop, [`warlock::http::serve_connections`].
 //! - `--max-request-bytes N` bounds each request line / HTTP body
 //!   (default 16 MiB): over-limit requests are answered with a typed
 //!   `bad_request` error instead of buffering without bound, and the
 //!   connection stays usable.
+//!
+//! The advisor's knobs (`parallelism`, `max_candidates`, `chunk_size`,
+//! …) come from each warehouse's configuration file alone, so what a
+//! wire `reload` re-reads is exactly what was served before it.
 //!
 //! A `{"op":"shutdown"}` request over *any* transport stops the whole
 //! server after the response is flushed (as does EOF on stdin in stdio
@@ -44,18 +42,16 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
-use std::panic::AssertUnwindSafe;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use warlock::http::{serve_http, ShutdownSignal};
+use warlock::http::{serve_connections, serve_http, ShutdownSignal};
 use warlock::registry::Registry;
 use warlock::service::{Service, ServiceReply};
 use warlock::Warlock;
 
 const USAGE: &str = "usage: warlockd [<config-file>] [--warehouse NAME=PATH]... \
-[--default-warehouse NAME] [--stdio | --listen ADDR] [--http ADDR] \
-[-j N | --parallelism N] [--max-candidates N] [--chunk-size N] [--max-request-bytes N]";
+[--default-warehouse NAME] [--stdio | --listen ADDR] [--http ADDR] [--max-request-bytes N]";
 
 /// The default per-request size bound: far above any real advisory
 /// request, far below anything that could stress the server's memory.
@@ -70,9 +66,6 @@ struct Options {
     listen: Option<String>,
     http: Option<String>,
     stdio: bool,
-    parallelism: Option<usize>,
-    max_candidates: Option<u64>,
-    chunk_size: Option<usize>,
     max_request_bytes: usize,
 }
 
@@ -96,9 +89,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Options, String> {
     let mut listen = None;
     let mut http = None;
     let mut stdio = false;
-    let mut parallelism = None;
-    let mut max_candidates = None;
-    let mut chunk_size = None;
     let mut max_request_bytes = DEFAULT_MAX_REQUEST_BYTES;
     let mut positional = Vec::new();
     while !args.is_empty() {
@@ -118,21 +108,13 @@ fn parse_args(mut args: Vec<String>) -> Result<Options, String> {
             "--default-warehouse" => {
                 default_warehouse = Some(value_of::<String>(&mut args, &arg, "a warehouse name")?);
             }
-            "-j" | "--parallelism" => {
-                parallelism = Some(value_of::<usize>(&mut args, &arg, "a worker count")?);
-            }
-            "--max-candidates" => {
-                max_candidates = Some(value_of::<u64>(&mut args, &arg, "a candidate budget")?);
-            }
-            "--chunk-size" => {
-                chunk_size = Some(value_of::<usize>(&mut args, &arg, "a chunk size")?);
-            }
             "--max-request-bytes" => {
                 max_request_bytes = value_of::<usize>(&mut args, &arg, "a byte count")?;
                 if max_request_bytes == 0 {
                     return Err("`--max-request-bytes` must be positive".into());
                 }
             }
+            flag if flag.starts_with('-') => return Err(format!("unknown option `{flag}`")),
             _ => positional.push(arg),
         }
     }
@@ -167,9 +149,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Options, String> {
         listen,
         http,
         stdio,
-        parallelism,
-        max_candidates,
-        chunk_size,
         max_request_bytes,
     })
 }
@@ -243,22 +222,8 @@ fn serve<R: BufRead, W: Write>(
                 "bad_request",
                 &format!("request line exceeds the {max_request_bytes}-byte limit"),
             ),
-            Ok(LineRead::Line(line)) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                // A panicking request (a bug) must not take the server
-                // down: degrade to an internal-error response for this
-                // client, in the envelope version the request spoke.
-                std::panic::catch_unwind(AssertUnwindSafe(|| service.handle_line(&line)))
-                    .unwrap_or_else(|_| {
-                        ServiceReply::error_for_version(
-                            ServiceReply::request_version(&line),
-                            "internal",
-                            "request handler panicked",
-                        )
-                    })
-            }
+            Ok(LineRead::Line(line)) if line.trim().is_empty() => continue,
+            Ok(LineRead::Line(line)) => service.handle_line(&line),
         };
         if writeln!(output, "{}", reply.line)
             .and_then(|_| output.flush())
@@ -269,47 +234,6 @@ fn serve<R: BufRead, W: Write>(
         if reply.shutdown {
             return true;
         }
-    }
-}
-
-/// The TCP accept loop for the line protocol. Exits deterministically
-/// once `shutdown` trips — a shutdown request from any connection (or
-/// any other transport) wakes the loop via self-connect instead of
-/// leaving it blocked in `accept`.
-fn serve_tcp(
-    service: &Arc<Service>,
-    listener: TcpListener,
-    max_request_bytes: usize,
-    shutdown: &Arc<ShutdownSignal>,
-) {
-    if let Ok(addr) = listener.local_addr() {
-        shutdown.register(addr);
-    }
-    eprintln!(
-        "warlockd: listening on {}",
-        listener
-            .local_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "<unknown>".into())
-    );
-    for stream in listener.incoming() {
-        if shutdown.is_stopped() {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let service = Arc::clone(service);
-        let shutdown = Arc::clone(shutdown);
-        std::thread::spawn(move || {
-            let reader = match stream.try_clone() {
-                Ok(s) => BufReader::new(s),
-                Err(_) => return,
-            };
-            if serve(&service, reader, stream, max_request_bytes) {
-                // A clean shutdown request: the response is flushed;
-                // stop every transport and let main exit 0.
-                shutdown.trigger();
-            }
-        });
     }
 }
 
@@ -327,32 +251,13 @@ fn main() -> ExitCode {
         .unwrap_or_else(|| options.warehouses[0].0.clone());
     let registry = Arc::new(Registry::new(default));
     for (name, path) in &options.warehouses {
-        let mut session = match Warlock::from_config_path(path) {
+        let session = match Warlock::from_config_path(path) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("warlockd: {e}");
                 return ExitCode::FAILURE;
             }
         };
-        if options.parallelism.is_some()
-            || options.max_candidates.is_some()
-            || options.chunk_size.is_some()
-        {
-            let mut config = session.config().clone();
-            if let Some(workers) = options.parallelism {
-                config.parallelism = workers;
-            }
-            if let Some(budget) = options.max_candidates {
-                config.max_candidates = budget;
-            }
-            if let Some(chunk) = options.chunk_size {
-                config.chunk_size = chunk;
-            }
-            if let Err(e) = session.set_config(config) {
-                eprintln!("warlockd: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
         if let Err(e) = registry.insert(name.clone(), Some(path.clone()), session) {
             eprintln!("warlockd: {e}");
             return ExitCode::FAILURE;
@@ -391,31 +296,40 @@ fn main() -> ExitCode {
     };
 
     let shutdown = Arc::new(ShutdownSignal::new());
-    let mut http_thread = None;
+    let max = options.max_request_bytes;
+    let mut transports = Vec::new();
     if let Some(listener) = http {
-        eprintln!(
-            "warlockd: http on {}",
-            listener
-                .local_addr()
-                .map(|a| a.to_string())
-                .unwrap_or_else(|_| "<unknown>".into())
-        );
+        announce("http", &listener);
         let service = Arc::clone(&service);
         let shutdown = Arc::clone(&shutdown);
-        let max = options.max_request_bytes;
-        if tcp.is_some() {
-            http_thread = Some(std::thread::spawn(move || {
-                serve_http(service, listener, max, shutdown)
-            }));
-        } else {
-            serve_http(service, listener, max, shutdown);
-        }
+        transports.push(std::thread::spawn(move || {
+            serve_http(service, listener, max, shutdown)
+        }));
     }
     if let Some(listener) = tcp {
-        serve_tcp(&service, listener, options.max_request_bytes, &shutdown);
+        announce("listening", &listener);
+        let service = Arc::clone(&service);
+        let shutdown = Arc::clone(&shutdown);
+        transports.push(std::thread::spawn(move || {
+            serve_connections(listener, shutdown, move |stream| match stream.try_clone() {
+                Ok(reader) => serve(&service, BufReader::new(reader), stream, max),
+                Err(_) => false,
+            })
+        }));
     }
-    if let Some(thread) = http_thread {
-        let _ = thread.join();
+    for transport in transports {
+        let _ = transport.join();
     }
     ExitCode::SUCCESS
+}
+
+/// Announces a bound transport on stderr as `warlockd: LABEL on ADDR`.
+fn announce(label: &str, listener: &TcpListener) {
+    eprintln!(
+        "warlockd: {label} on {}",
+        listener
+            .local_addr()
+            .map(|a| a.to_string())
+            .unwrap_or_else(|_| "<unknown>".into())
+    );
 }

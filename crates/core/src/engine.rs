@@ -574,7 +574,8 @@ pub(crate) fn vary_fixed_prefetch(
     ))
 }
 
-/// What-if variation: the bitmap indexes of `dimension` dropped.
+/// What-if variation: the bitmap indexes of `dimension` dropped. Fails
+/// with a schema error when the schema has no such dimension.
 pub(crate) fn vary_without_bitmap_dimension(
     schema: &StarSchema,
     system: &SystemConfig,
@@ -584,6 +585,7 @@ pub(crate) fn vary_without_bitmap_dimension(
     dimension: warlock_schema::DimensionId,
     env: EvalEnv<'_>,
 ) -> Result<(String, AdvisorReport), WarlockError> {
+    schema.dimension(dimension)?;
     let scheme = scheme.without_dimension(dimension);
     let report = run(schema, system, mix, config, &scheme, env)?;
     Ok((format!("no bitmaps on dimension {dimension}"), report))

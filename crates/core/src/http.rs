@@ -2,12 +2,12 @@
 //!
 //! `warlockd --http ADDR` serves the exact op set of
 //! [`crate::service`] as `POST /v2/<op>`: the JSON request body carries
-//! the remaining request fields (`id`, `warehouse`, `params` — an empty
-//! body means none), and the response body is the same JSON envelope
-//! the line protocol writes. One request per connection
-//! (`Connection: close`), one thread per connection — deliberately the
-//! simplest thing that lets `curl`, load balancers and dashboards talk
-//! to the advisor without a custom client:
+//! the remaining request fields (`id`, `warehouse`, `params`, optional
+//! `v` — an empty body means none), and the response body is the same
+//! JSON envelope the line protocol writes. One request per connection
+//! (`Connection: close`) — deliberately the simplest thing that lets
+//! `curl`, load balancers and dashboards talk to the advisor without a
+//! custom client:
 //!
 //! ```text
 //! $ curl -s http://127.0.0.1:7342/v2/rank -d '{"warehouse":"eu"}'
@@ -20,11 +20,14 @@
 //! 422); the body always carries the full typed JSON error, so HTTP
 //! clients see exactly what line-protocol clients see.
 //!
-//! The module also provides [`ShutdownSignal`], the cross-transport
-//! stop flag: a `shutdown` op arriving over *any* transport trips it,
-//! and every accept loop — HTTP here, the TCP line protocol in
-//! `warlockd` — is woken deterministically by a self-connect instead of
-//! blocking in `accept` until a next client happens to arrive.
+//! The module also provides what every `warlockd` network transport
+//! shares: [`serve_connections`], the one accept loop (a thread per
+//! connection running the transport's handler — HTTP here, the TCP
+//! line protocol in `warlockd`), and [`ShutdownSignal`], the
+//! cross-transport stop flag. A `shutdown` op arriving over *any*
+//! transport trips it, and every accept loop is woken deterministically
+//! by a self-connect instead of blocking in `accept` until a next
+//! client happens to arrive.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -118,32 +121,46 @@ impl HttpError {
     }
 }
 
+/// Accepts connections on `listener` until `shutdown` trips, running
+/// `handle` on a thread of its own per connection. A handler returns
+/// `true` when its client asked the whole server to stop; that trips
+/// `shutdown`, which wakes every registered accept loop.
+pub fn serve_connections<H>(listener: TcpListener, shutdown: Arc<ShutdownSignal>, handle: H)
+where
+    H: Fn(TcpStream) -> bool + Send + Sync + 'static,
+{
+    if let Ok(addr) = listener.local_addr() {
+        shutdown.register(addr);
+    }
+    let handle = Arc::new(handle);
+    for stream in listener.incoming() {
+        if shutdown.is_stopped() {
+            break;
+        }
+        let Ok(stream) = stream else { continue };
+        let handle = Arc::clone(&handle);
+        let shutdown = Arc::clone(&shutdown);
+        std::thread::spawn(move || {
+            if handle(stream) {
+                shutdown.trigger();
+            }
+        });
+    }
+}
+
 /// Serves the v2 protocol over HTTP until `shutdown` trips (from a
-/// request on this transport or any other). One thread per connection;
-/// request bodies above `max_request_bytes` are answered with `413` and
-/// a typed `bad_request` JSON error instead of being read.
+/// request on this transport or any other). Request bodies above
+/// `max_request_bytes` are answered with `413` and a typed
+/// `bad_request` JSON error instead of being read.
 pub fn serve_http(
     service: Arc<Service>,
     listener: TcpListener,
     max_request_bytes: usize,
     shutdown: Arc<ShutdownSignal>,
 ) {
-    if let Ok(addr) = listener.local_addr() {
-        shutdown.register(addr);
-    }
-    for stream in listener.incoming() {
-        if shutdown.is_stopped() {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let service = Arc::clone(&service);
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || {
-            if handle_connection(&service, stream, max_request_bytes) {
-                shutdown.trigger();
-            }
-        });
-    }
+    serve_connections(listener, shutdown, move |stream| {
+        handle_connection(&service, stream, max_request_bytes)
+    });
 }
 
 /// Handles one connection (one request); returns `true` when the client
@@ -218,20 +235,11 @@ fn dispatch(service: &Service, request: &HttpRequest) -> Result<ServiceReply, Ht
             "request body must be a JSON object",
         ));
     };
-    // The path names the op and pins the protocol version; the body
-    // carries everything else (`id`, `warehouse`, `params`).
-    let mut request = vec![
-        ("v".to_owned(), Json::Int(2)),
-        ("op".to_owned(), Json::Str(op.to_owned())),
-    ];
-    request.extend(members.into_iter().filter(|(k, _)| k != "v" && k != "op"));
-    let request = Json::Obj(request);
-    // A panicking request (a bug) must not drop the connection without
-    // a response: degrade to a typed 500, like the line transports do.
-    Ok(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        service.handle_request(&request)
-    }))
-    .unwrap_or_else(|_| ServiceReply::error("internal", "request handler panicked")))
+    // The path names the op; the body carries everything else (`id`,
+    // `warehouse`, `params`, and an optional `v` the service checks).
+    let mut request = vec![("op".to_owned(), Json::Str(op.to_owned()))];
+    request.extend(members.into_iter().filter(|(k, _)| k != "op"));
+    Ok(service.handle_request(&Json::Obj(request)))
 }
 
 /// Reads one HTTP request: a bounded head, then a `Content-Length`
@@ -470,6 +478,14 @@ mod tests {
         assert_eq!(status, 404);
         let (status, _) = server.request("GET /v2/rank HTTP/1.1\r\nHost: x\r\n\r\n");
         assert_eq!(status, 405);
+        let (status, body) = server.post("/v2/ping", r#"{"v":1}"#);
+        assert_eq!(status, 400);
+        assert_eq!(
+            body.get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Json::as_str),
+            Some("unsupported_version")
+        );
     }
 
     #[test]

@@ -112,7 +112,7 @@ pub use policy_judge::{PolicyRecommendation, PolicyVerdict};
 pub use ranking::{twofold_rank, StreamingRank};
 pub use registry::{Registry, Warehouse, WarehouseStats};
 pub use serial::SessionReport;
-pub use service::{Service, ServiceReply, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+pub use service::{Service, ServiceReply, PROTOCOL_VERSION};
 pub use session::{Snapshot, Warlock, WarlockBuilder};
 pub use tuning::TuningDelta;
 pub use warlock_workload::{ClassObservation, DriftState};

@@ -20,9 +20,8 @@
 //!   health (source path, exact candidate-space size, cached baseline,
 //!   cache counters) without evaluating anything.
 //!
-//! One warehouse name is the **default**: requests that do not route
-//! explicitly (protocol v1 clients, v2 requests without a `warehouse`
-//! field) resolve to it. The `warlock::service` layer is a thin
+//! One warehouse name is the **default**: requests without a
+//! `warehouse` field resolve to it. The `warlock::service` layer is a thin
 //! dispatcher over this type.
 
 use std::collections::HashMap;
@@ -226,8 +225,8 @@ impl Registry {
     ///
     /// [`WarlockError::UnknownWarehouse`] when no such warehouse is
     /// loaded, and [`WarlockError::Config`] for the default warehouse —
-    /// removing it would strand every unrouted and protocol-v1 request
-    /// with no way to re-point the default at runtime.
+    /// removing it would strand every unrouted request with no way to
+    /// re-point the default at runtime.
     pub fn unload(&self, name: &str) -> Result<(), WarlockError> {
         if name == self.default {
             return Err(WarlockError::Config(format!(
@@ -405,7 +404,7 @@ mod tests {
             WarlockError::UnknownWarehouse { name: "eu".into() }
         );
         // The default warehouse cannot be unloaded: without it every
-        // unrouted and v1 request would dead-end.
+        // unrouted request would dead-end.
         let e = registry.unload("us").unwrap_err();
         assert_eq!(e.kind(), "config");
         assert!(e.to_string().contains("default"));

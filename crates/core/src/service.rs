@@ -31,31 +31,27 @@
 //!
 //! Every op accepts an optional top-level `"warehouse"` routing field;
 //! when omitted the request resolves to the registry's **default**
-//! warehouse. v2 adds the registry ops `load` (`params.name`/`path`),
-//! `unload` (`params.name`), `reload` (`params.name`, default: the
-//! routed/default warehouse — atomic copy-on-write re-read of the
-//! warehouse's configuration file) and `list_warehouses`, plus
-//! `recommend_policy` — the head-to-head allocation-policy judge
-//! replaying the mix through the disk simulator under each policy.
+//! warehouse. Besides the advisory ops there are the registry ops
+//! `load` (`params.name`/`path`), `unload` (`params.name`), `reload`
+//! (`params.name`, default: the routed/default warehouse — atomic
+//! copy-on-write re-read of the warehouse's configuration file) and
+//! `list_warehouses`, plus `recommend_policy` — the head-to-head
+//! allocation-policy judge replaying the mix through the disk simulator
+//! under each policy.
 //!
-//! ## v1 compatibility
-//!
-//! `v` defaults to [`PROTOCOL_VERSION`] when omitted; `{"v":1}` requests
-//! are served through an explicit compat shim: they speak the exact PR-3
-//! op set, always resolve to the default warehouse, get `"v":1`
-//! responses, and are rejected with `bad_request` if they try to route
-//! (`warehouse` is a v2 field) — and with `unknown_op` for the v2
-//! registry ops, exactly as a v1 server would have answered. Any other
-//! version is rejected with `unsupported_version` so clients fail loudly
-//! when the protocol evolves. `id` is echoed verbatim (any JSON value,
-//! default `null`).
+//! `v` is optional and may only be [`PROTOCOL_VERSION`]; any other
+//! value (including the retired `1`) is rejected with
+//! `unsupported_version` so clients fail loudly when the protocol
+//! evolves. `id` is echoed verbatim (any JSON value, default `null`).
+//! A request that panics the handler (a bug) is answered with a typed
+//! `internal` error echoing its `id`; the service keeps serving.
 //!
 //! Operations: `rank`, `analyze`, `allocate`, `evaluate`,
 //! `what_if_disks`, `what_if_prefetch`,
 //! `what_if_without_bitmap_dimension`, `what_if_without_class`,
-//! `set_mix`, `set_budget`, `cache_stats`, `ping`, `shutdown`, plus (v2)
-//! `load`, `unload`, `reload`, `list_warehouses`, `recommend_policy`,
-//! and the resident-optimizer ops `observe_stats`
+//! `set_mix`, `set_budget`, `cache_stats`, `ping`, `shutdown`, `load`,
+//! `unload`, `reload`, `list_warehouses`, `recommend_policy`, and the
+//! resident-optimizer ops `observe_stats`
 //! (`params.observations`: array of `{class, count[, mean_latency_ms]}`
 //! — feeds the warehouse's drift detector, may auto re-advise),
 //! `drift_status`, `advice_events` (`params.limit`, 0/absent = all
@@ -70,6 +66,8 @@
 //! loaded warehouse. `set_budget` adjusts the streaming knobs
 //! (`max_candidates`, `chunk_size`) of the routed warehouse.
 
+use std::borrow::Borrow;
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
 use warlock_json::{Json, ToJson};
@@ -80,11 +78,8 @@ use crate::registry::{Registry, Warehouse};
 use crate::serial::{u128_json, FragmentationAttr};
 use crate::session::Warlock;
 
-/// The current wire protocol version `warlockd` speaks.
+/// The wire protocol version `warlockd` speaks.
 pub const PROTOCOL_VERSION: i64 = 2;
-
-/// The oldest protocol version still served (via the compat shim).
-pub const MIN_PROTOCOL_VERSION: i64 = 1;
 
 /// A request outcome the server loop acts on: the response line to
 /// write, whether the client asked the service to stop, and the error
@@ -103,44 +98,10 @@ pub struct ServiceReply {
 
 impl ServiceReply {
     /// A standalone error reply outside any request dispatch — used by
-    /// server loops for failures the service never saw (oversized
-    /// requests, panicking handlers). The envelope speaks the current
-    /// protocol version; use
-    /// [`error_for_version`](ServiceReply::error_for_version) when the
-    /// failing request's version is known.
+    /// transports for failures the service never saw (oversized or
+    /// malformed transport requests).
     pub fn error(kind: &'static str, message: &str) -> Self {
-        Self::error_for_version(PROTOCOL_VERSION, kind, message)
-    }
-
-    /// Like [`error`](ServiceReply::error), with an explicit envelope
-    /// version — so v1 clients get `"v":1` even on panic-path replies.
-    pub fn error_for_version(version: i64, kind: &'static str, message: &str) -> Self {
-        let line = Json::object([
-            ("v", Json::Int(version)),
-            ("id", Json::Null),
-            ("ok", Json::Bool(false)),
-            (
-                "error",
-                Json::object([("kind", kind.to_json()), ("message", message.to_json())]),
-            ),
-        ])
-        .render();
-        Self {
-            line,
-            shutdown: false,
-            error_kind: Some(kind),
-        }
-    }
-
-    /// The version a raw request line claims to speak, for shaping
-    /// replies the service itself never produced (panic fallbacks).
-    /// Unparseable lines report the current version.
-    pub fn request_version(line: &str) -> i64 {
-        warlock_json::parse(line)
-            .ok()
-            .and_then(|r| r.get("v").and_then(Json::as_i64))
-            .filter(|v| (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(v))
-            .unwrap_or(PROTOCOL_VERSION)
+        reply(Json::Null, Err(bad(kind, message)), false)
     }
 }
 
@@ -221,25 +182,67 @@ fn rank_param(params: &Json) -> Result<usize, ReplyError> {
     }
 }
 
-/// The ping result, shaped for the negotiated version: v1 clients get
-/// the exact PR-3 shape (`protocol: 1`, no `warehouse` field) so probes
-/// written against the old server keep passing.
-fn warehouse_ping(version: i64, warehouse: &Warehouse) -> Json {
+/// The ping result: the warehouse's health counters.
+fn warehouse_ping(warehouse: &Warehouse) -> Json {
     let session = warehouse.session();
     let enumerated = match session.ranking() {
         Some(report) => report.enumerated.to_json(),
         None => Json::Null,
     };
-    let mut fields = vec![("protocol", Json::Int(version))];
-    if version >= 2 {
-        fields.push(("warehouse", warehouse.name().to_json()));
-    }
-    fields.extend([
+    Json::object([
+        ("protocol", Json::Int(PROTOCOL_VERSION)),
+        ("warehouse", warehouse.name().to_json()),
         ("space_size", u128_json(session.candidate_space_size())),
         ("enumerated", enumerated),
         ("cache_stats", session.cache_stats().to_json()),
-    ]);
-    Json::object(fields)
+    ])
+}
+
+/// Accepts an absent `v` or [`PROTOCOL_VERSION`]; anything else is
+/// rejected.
+fn check_version(request: &Json) -> Result<(), ReplyError> {
+    match request.get("v") {
+        None => Ok(()),
+        Some(v) if v.as_i64() == Some(PROTOCOL_VERSION) => Ok(()),
+        Some(v) => Err(bad(
+            "unsupported_version",
+            format!(
+                "protocol version {} is not supported (speak v{PROTOCOL_VERSION})",
+                v.render()
+            ),
+        )),
+    }
+}
+
+/// The response envelope of one request outcome.
+fn reply(id: Json, outcome: OpResult, shutdown: bool) -> ServiceReply {
+    let (fields, error_kind) = match outcome {
+        Ok(result) => ([("ok", Json::Bool(true)), ("result", result)], None),
+        Err(e) => {
+            let (kind, message) = e.kind_and_message();
+            (
+                [
+                    ("ok", Json::Bool(false)),
+                    (
+                        "error",
+                        Json::object([("kind", kind.to_json()), ("message", message.to_json())]),
+                    ),
+                ],
+                Some(kind),
+            )
+        }
+    };
+    let line = Json::object(
+        [("v", Json::Int(PROTOCOL_VERSION)), ("id", id)]
+            .into_iter()
+            .chain(fields),
+    )
+    .render();
+    ServiceReply {
+        line,
+        shutdown,
+        error_kind,
+    }
 }
 
 fn cost_json(cost: &warlock_cost::CandidateCost, label: String) -> Json {
@@ -272,97 +275,46 @@ impl Service {
     }
 
     /// Handles one request line, returning the response line. Never
-    /// panics on malformed input — every failure is a JSON error
-    /// response.
+    /// panics — malformed input and handler panics alike become JSON
+    /// error responses.
     pub fn handle_line(&self, line: &str) -> ServiceReply {
-        match warlock_json::parse(line) {
-            Ok(request) => self.handle_request(&request),
-            Err(e) => self.reply(
-                PROTOCOL_VERSION,
-                Json::Null,
-                Err(bad(
-                    "bad_request",
-                    format!("request is not valid JSON: {e}"),
-                )),
-                false,
-            ),
-        }
+        self.handle(|| {
+            warlock_json::parse(line)
+                .map_err(|e| bad("bad_request", format!("request is not valid JSON: {e}")))
+        })
     }
 
-    /// Handles one already-parsed request object — the shared dispatch
-    /// path of the line protocol and the HTTP transport.
+    /// Handles one already-parsed request object — the dispatch path of
+    /// the HTTP transport.
     pub fn handle_request(&self, request: &Json) -> ServiceReply {
-        let id = request.get("id").cloned().unwrap_or(Json::Null);
-        match self.negotiate_version(request) {
-            Err(e) => self.reply(PROTOCOL_VERSION, id, Err(e), false),
-            Ok(version) => {
-                let op = request.get("op").and_then(Json::as_str).unwrap_or("");
-                let outcome = self.dispatch(version, request);
-                // Only a well-formed, successful shutdown stops the
-                // server.
-                let shutdown = op == "shutdown" && outcome.is_ok();
-                self.reply(version, id, outcome, shutdown)
-            }
-        }
+        self.handle(|| Ok(request))
     }
 
-    fn reply(&self, version: i64, id: Json, outcome: OpResult, shutdown: bool) -> ServiceReply {
-        let (line, error_kind) = match outcome {
-            Ok(result) => (
-                Json::object([
-                    ("v", Json::Int(version)),
-                    ("id", id),
-                    ("ok", Json::Bool(true)),
-                    ("result", result),
-                ]),
-                None,
-            ),
-            Err(e) => {
-                let (kind, message) = e.kind_and_message();
-                (
-                    Json::object([
-                        ("v", Json::Int(version)),
-                        ("id", id),
-                        ("ok", Json::Bool(false)),
-                        (
-                            "error",
-                            Json::object([
-                                ("kind", kind.to_json()),
-                                ("message", message.to_json()),
-                            ]),
-                        ),
-                    ]),
-                    Some(kind),
-                )
-            }
-        };
-        ServiceReply {
-            line: line.render(),
-            shutdown,
-            error_kind,
-        }
+    /// Reads, checks and dispatches one request under the service's
+    /// panic guard: a panicking request (a bug) degrades to a typed
+    /// `internal` reply that echoes the request's `id` when it was
+    /// read, and the server keeps serving.
+    fn handle<R: Borrow<Json>>(
+        &self,
+        read: impl FnOnce() -> Result<R, ReplyError>,
+    ) -> ServiceReply {
+        let mut id = Json::Null;
+        let mut stops = false;
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let request = read()?;
+            let request = request.borrow();
+            id = request.get("id").cloned().unwrap_or(Json::Null);
+            stops = request.get("op").and_then(Json::as_str) == Some("shutdown");
+            check_version(request)?;
+            self.dispatch(request)
+        }))
+        .unwrap_or_else(|_| Err(bad("internal", "request handler panicked")));
+        // Only a well-formed, successful shutdown stops the server.
+        let shutdown = stops && outcome.is_ok();
+        reply(id, outcome, shutdown)
     }
 
-    /// The protocol version this request speaks: absent → the current
-    /// version; 1 → the compat shim; anything else → rejected.
-    fn negotiate_version(&self, request: &Json) -> Result<i64, ReplyError> {
-        match request.get("v") {
-            None => Ok(PROTOCOL_VERSION),
-            Some(v) => match v.as_i64() {
-                Some(n) if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&n) => Ok(n),
-                _ => Err(bad(
-                    "unsupported_version",
-                    format!(
-                        "protocol version {} is not supported \
-                         (speak v{MIN_PROTOCOL_VERSION}..=v{PROTOCOL_VERSION})",
-                        v.render()
-                    ),
-                )),
-            },
-        }
-    }
-
-    fn dispatch(&self, version: i64, request: &Json) -> OpResult {
+    fn dispatch(&self, request: &Json) -> OpResult {
         let op = request
             .get("op")
             .and_then(Json::as_str)
@@ -370,114 +322,99 @@ impl Service {
         let params = request.get("params").cloned().unwrap_or(Json::Null);
         let route = match request.get("warehouse") {
             None => None,
-            Some(Json::Str(name)) if version >= 2 => Some(name.as_str()),
-            Some(Json::Str(_)) => {
-                return Err(bad(
-                    "bad_request",
-                    "`warehouse` routing requires protocol v2 (this request speaks v1)",
-                ))
-            }
+            Some(Json::Str(name)) => Some(name.as_str()),
             Some(_) => return Err(bad("bad_request", "`warehouse` must be a string")),
         };
-        // The v2 registry ops. In a v1 request they fall through to the
-        // `unknown_op` arm below — exactly what a v1 server answered.
-        if version >= 2 {
-            match op {
-                "load" => {
-                    let name = str_param(&params, "name")?;
-                    let path = str_param(&params, "path")?;
-                    self.registry.load(name, path)?;
-                    return Ok(self.registry.stats(name)?.to_json());
-                }
-                "unload" => {
-                    let name = str_param(&params, "name")?;
-                    self.registry.unload(name)?;
-                    return Ok(Json::object([("unloaded", name.to_json())]));
-                }
-                "reload" => {
-                    // An explicit `params.name` wins; otherwise the
-                    // routed (or default) warehouse is reloaded.
-                    let name = match params.get("name") {
-                        None => self.registry.resolve(route).map(|w| w.name().to_owned())?,
-                        Some(v) => v
-                            .as_str()
-                            .ok_or_else(|| bad("bad_request", "`params.name` must be a string"))?
-                            .to_owned(),
-                    };
-                    self.registry.reload(&name)?;
-                    return Ok(self.registry.stats(&name)?.to_json());
-                }
-                "list_warehouses" => {
-                    let warehouses: Vec<Json> =
-                        self.registry.list().iter().map(ToJson::to_json).collect();
-                    return Ok(Json::object([
-                        ("default", self.registry.default_name().to_json()),
-                        ("warehouses", warehouses.to_json()),
-                    ]));
-                }
-                "recommend_policy" => {
-                    let session = self.registry.resolve(route)?.session();
-                    return Ok(session.recommend_policy()?.to_json());
-                }
-                "observe_stats" => {
-                    let observations = params
-                        .get("observations")
-                        .and_then(Json::as_array)
-                        .ok_or_else(|| {
-                            bad("bad_request", "`params.observations` must be an array")
-                        })?;
-                    let batch: Vec<crate::workload::ClassObservation> = observations
-                        .iter()
-                        .map(crate::serial::observation_from_json)
-                        .collect::<Result<_, _>>()
-                        .map_err(WarlockError::Json)?;
-                    // `observe` may adopt the observed mix (auto
-                    // re-advise), so it routes through the write
-                    // session like `set_mix`.
-                    let warehouse = self.registry.resolve(route)?;
-                    let mut session = warehouse.write_session();
-                    return Ok(session.observe(&batch)?.to_json());
-                }
-                "drift_status" => {
-                    let session = self.registry.resolve(route)?.session();
-                    return Ok(session.drift_status().to_json());
-                }
-                "advice_events" => {
-                    let limit = match params.get("limit") {
-                        None => 0,
-                        Some(v) => v.as_usize().ok_or_else(|| {
-                            bad("bad_request", "`params.limit` must be an unsigned integer")
-                        })?,
-                    };
-                    let session = self.registry.resolve(route)?.session();
-                    let events: Vec<Json> = session
-                        .advice_events(limit)
-                        .iter()
-                        .map(ToJson::to_json)
-                        .collect();
-                    return Ok(Json::object([("events", events.to_json())]));
-                }
-                "set_auto_advise" => {
-                    let on = params
-                        .get("on")
-                        .and_then(Json::as_bool)
-                        .ok_or_else(|| bad("bad_request", "`params.on` must be a boolean"))?;
-                    let warehouse = self.registry.resolve(route)?;
-                    let mut session = warehouse.write_session();
-                    session.set_auto_advise(on)?;
-                    return Ok(session.drift_status().to_json());
-                }
-                _ => {}
-            }
-        }
         match op {
+            "load" => {
+                let name = str_param(&params, "name")?;
+                let path = str_param(&params, "path")?;
+                self.registry.load(name, path)?;
+                Ok(self.registry.stats(name)?.to_json())
+            }
+            "unload" => {
+                let name = str_param(&params, "name")?;
+                self.registry.unload(name)?;
+                Ok(Json::object([("unloaded", name.to_json())]))
+            }
+            "reload" => {
+                // An explicit `params.name` wins; otherwise the
+                // routed (or default) warehouse is reloaded.
+                let name = match params.get("name") {
+                    None => self.registry.resolve(route).map(|w| w.name().to_owned())?,
+                    Some(v) => v
+                        .as_str()
+                        .ok_or_else(|| bad("bad_request", "`params.name` must be a string"))?
+                        .to_owned(),
+                };
+                self.registry.reload(&name)?;
+                Ok(self.registry.stats(&name)?.to_json())
+            }
+            "list_warehouses" => {
+                let warehouses: Vec<Json> =
+                    self.registry.list().iter().map(ToJson::to_json).collect();
+                Ok(Json::object([
+                    ("default", self.registry.default_name().to_json()),
+                    ("warehouses", warehouses.to_json()),
+                ]))
+            }
+            "recommend_policy" => {
+                let session = self.registry.resolve(route)?.session();
+                Ok(session.recommend_policy()?.to_json())
+            }
+            "observe_stats" => {
+                let observations = params
+                    .get("observations")
+                    .and_then(Json::as_array)
+                    .ok_or_else(|| bad("bad_request", "`params.observations` must be an array"))?;
+                let batch: Vec<crate::workload::ClassObservation> = observations
+                    .iter()
+                    .map(crate::serial::observation_from_json)
+                    .collect::<Result<_, _>>()
+                    .map_err(WarlockError::Json)?;
+                // `observe` may adopt the observed mix (auto
+                // re-advise), so it routes through the write
+                // session like `set_mix`.
+                let warehouse = self.registry.resolve(route)?;
+                let mut session = warehouse.write_session();
+                Ok(session.observe(&batch)?.to_json())
+            }
+            "drift_status" => {
+                let session = self.registry.resolve(route)?.session();
+                Ok(session.drift_status().to_json())
+            }
+            "advice_events" => {
+                let limit = match params.get("limit") {
+                    None => 0,
+                    Some(v) => v.as_usize().ok_or_else(|| {
+                        bad("bad_request", "`params.limit` must be an unsigned integer")
+                    })?,
+                };
+                let session = self.registry.resolve(route)?.session();
+                let events: Vec<Json> = session
+                    .advice_events(limit)
+                    .iter()
+                    .map(ToJson::to_json)
+                    .collect();
+                Ok(Json::object([("events", events.to_json())]))
+            }
+            "set_auto_advise" => {
+                let on = params
+                    .get("on")
+                    .and_then(Json::as_bool)
+                    .ok_or_else(|| bad("bad_request", "`params.on` must be a boolean"))?;
+                let warehouse = self.registry.resolve(route)?;
+                let mut session = warehouse.write_session();
+                session.set_auto_advise(on)?;
+                Ok(session.drift_status().to_json())
+            }
             "ping" => {
                 // A health probe must stay cheap: the space size comes
                 // from the source's exact predictor (no enumeration),
                 // and `enumerated` only reflects an already-cached
                 // baseline ranking — never triggers one.
                 let warehouse = self.registry.resolve(route)?;
-                Ok(warehouse_ping(version, &warehouse))
+                Ok(warehouse_ping(&warehouse))
             }
             "shutdown" => Ok(Json::object([("stopping", Json::Bool(true))])),
             "rank" => {
@@ -745,56 +682,6 @@ mod tests {
             assert!(v.get("makespan_ms").and_then(Json::as_f64).unwrap() > 0.0);
             assert!(v.get("scheme").and_then(Json::as_str).is_some());
         }
-        // A pre-judge v1 client never knew the op; it must still see
-        // `unknown_op`, exactly as the old server answered.
-        assert_eq!(
-            err_kind(&service, r#"{"v":1,"op":"recommend_policy"}"#),
-            "unknown_op"
-        );
-    }
-
-    #[test]
-    fn v1_compat_requests_keep_working_unchanged() {
-        let service = two_warehouse_service();
-        // A v1 request: answered as v1, resolved to the default
-        // warehouse.
-        let reply = service.handle_line(r#"{"v":1,"id":1,"op":"rank"}"#);
-        let json = warlock_json::parse(&reply.line).unwrap();
-        assert_eq!(
-            json.get("v").and_then(Json::as_i64),
-            Some(1),
-            "{}",
-            reply.line
-        );
-        assert_eq!(json.get("ok").and_then(Json::as_bool), Some(true));
-        let v1_result = json.get("result").unwrap().render();
-        // …which is bit-identical to an explicitly routed v2 rank of the
-        // default warehouse.
-        let v2_result = ok_result(&service, r#"{"v":2,"op":"rank","warehouse":"us"}"#);
-        assert_eq!(v1_result, v2_result.render());
-
-        // Routing is a v2 feature: the shim rejects it loudly rather
-        // than silently ignoring the field.
-        assert_eq!(
-            err_kind(&service, r#"{"v":1,"op":"rank","warehouse":"eu"}"#),
-            "bad_request"
-        );
-        // The v2 registry ops answer `unknown_op` under v1, exactly as a
-        // v1 server would have.
-        assert_eq!(
-            err_kind(&service, r#"{"v":1,"op":"list_warehouses"}"#),
-            "unknown_op"
-        );
-        assert_eq!(err_kind(&service, r#"{"v":1,"op":"reload"}"#), "unknown_op");
-        // A v1 ping keeps the exact PR-3 shape: protocol 1, no
-        // `warehouse` field — health probes written against the old
-        // server keep passing.
-        let reply = service.handle_line(r#"{"v":1,"op":"ping"}"#);
-        let pong = warlock_json::parse(&reply.line).unwrap();
-        let result = pong.get("result").unwrap();
-        assert_eq!(result.get("protocol").and_then(Json::as_i64), Some(1));
-        assert_eq!(result.get("warehouse"), None);
-        assert_eq!(result.get("space_size").and_then(Json::as_u64), Some(168));
     }
 
     #[test]
@@ -865,7 +752,7 @@ mod tests {
         assert_eq!(pong.get("warehouse").and_then(Json::as_str), Some("apac"));
 
         // Unloading the default warehouse is refused — every unrouted
-        // and v1 request would dead-end.
+        // request would dead-end.
         assert_eq!(
             err_kind(&service, r#"{"op":"unload","params":{"name":"us"}}"#),
             "config"
@@ -1022,6 +909,10 @@ mod tests {
             "unsupported_version"
         );
         assert_eq!(
+            err_kind(&service, r#"{"v":1,"op":"rank"}"#),
+            "unsupported_version"
+        );
+        assert_eq!(
             err_kind(&service, r#"{"v":"two","op":"rank"}"#),
             "unsupported_version"
         );
@@ -1044,6 +935,49 @@ mod tests {
             err_kind(&service, r#"{"op":"load","params":{"name":"x"}}"#),
             "bad_request"
         );
+        // The demo schema has four dimensions (ids 0..=3).
+        for dimension in [4, 99] {
+            assert_eq!(
+                err_kind(
+                    &service,
+                    &format!(
+                        r#"{{"op":"what_if_without_bitmap_dimension","params":{{"dimension":{dimension}}}}}"#
+                    )
+                ),
+                "schema"
+            );
+        }
+    }
+
+    #[test]
+    fn handler_panics_become_internal_replies_echoing_the_id() {
+        /// A request whose drop panics — after the service has read its
+        /// `id` and dispatched it. The drop runs on a normal return, never
+        /// during another unwind, so the panic cannot abort the test.
+        struct PanicsOnDrop(Json);
+        impl Borrow<Json> for PanicsOnDrop {
+            fn borrow(&self) -> &Json {
+                &self.0
+            }
+        }
+        impl Drop for PanicsOnDrop {
+            fn drop(&mut self) {
+                panic!("deliberate test panic");
+            }
+        }
+        let service = service();
+        let request = warlock_json::parse(r#"{"id":41,"op":"shutdown"}"#).unwrap();
+        let reply = service.handle(|| Ok(PanicsOnDrop(request)));
+        assert_eq!(reply.error_kind, Some("internal"));
+        assert!(!reply.shutdown, "a panicking shutdown is not honored");
+        let json = warlock_json::parse(&reply.line).unwrap();
+        assert_eq!(json.get("id").and_then(Json::as_i64), Some(41));
+        // A panic before the request was read has no id to echo.
+        let reply = service.handle(|| -> Result<Json, ReplyError> { panic!("unreadable") });
+        assert_eq!(reply.error_kind, Some("internal"));
+        assert!(reply.line.contains(r#""id":null"#), "{}", reply.line);
+        // The service keeps serving.
+        let _ = ok_result(&service, r#"{"op":"ping"}"#);
     }
 
     #[test]
@@ -1181,19 +1115,6 @@ mod tests {
             err_kind(&service, r#"{"op":"advice_events","params":{"limit":-1}}"#),
             "bad_request"
         );
-        // The resident optimizer is a v2 feature; v1 clients see
-        // `unknown_op`, exactly as the old server answered.
-        for op in [
-            "observe_stats",
-            "drift_status",
-            "advice_events",
-            "set_auto_advise",
-        ] {
-            assert_eq!(
-                err_kind(&service, &format!(r#"{{"v":1,"op":"{op}"}}"#)),
-                "unknown_op"
-            );
-        }
     }
 
     #[test]
@@ -1233,9 +1154,6 @@ mod tests {
         // A malformed shutdown is not honored.
         let reply = service.handle_line(r#"{"v":9,"op":"shutdown"}"#);
         assert!(!reply.shutdown);
-        // v1 clients can still stop the server.
-        let reply = service.handle_line(r#"{"v":1,"op":"shutdown"}"#);
-        assert!(reply.shutdown);
     }
 
     #[test]

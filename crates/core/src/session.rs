@@ -496,22 +496,6 @@ impl Warlock {
             .map_err(|e| e.at_path(path.display().to_string()))
     }
 
-    /// Overrides the bitmap scheme (interactive tuning: "the user may
-    /// decide to exclude some of the suggested bitmap indices").
-    pub fn with_scheme(mut self, scheme: BitmapScheme) -> Self {
-        let s = &*self.snapshot;
-        let snapshot = Snapshot::new(
-            s.schema.clone(),
-            s.system,
-            s.mix.clone(),
-            s.config.clone(),
-            scheme,
-            s.skew.clone(),
-        );
-        self.swap_snapshot(snapshot);
-        self
-    }
-
     // ------------------------------------------------------------------
     // The pipeline.
 
@@ -727,6 +711,10 @@ impl Warlock {
 
     /// What if the bitmap indexes of `dimension` were dropped (space
     /// limiting)?
+    ///
+    /// # Errors
+    ///
+    /// [`WarlockError::Schema`] when the schema has no such dimension.
     pub fn what_if_without_bitmap_dimension(
         &self,
         dimension: DimensionId,
@@ -1030,6 +1018,12 @@ mod tests {
         assert!(delta.variation_response_ms > delta.baseline_response_ms);
         let (_, delta) = s.what_if_without_bitmap_dimension(DimensionId(0)).unwrap();
         assert!(delta.variation_response_ms >= delta.baseline_response_ms * 0.999);
+        assert!(matches!(
+            s.what_if_without_bitmap_dimension(DimensionId(4)),
+            Err(WarlockError::Schema(
+                warlock_schema::SchemaError::UnknownDimension { index: 4 }
+            ))
+        ));
         assert!(matches!(
             s.what_if_without_class("nonexistent"),
             Err(WarlockError::UnknownClass { .. })

@@ -1,9 +1,10 @@
 //! End-to-end smoke tests of the `warlockd` binary: the stdio line
 //! protocol, the TCP transport (concurrent clients, routed ops against
-//! two warehouses, v1 compat, hot reload, deterministic shutdown), the
-//! HTTP transport, request-size bounds, and usage-error exit codes. The
-//! CI smoke lanes drive the same conversations from a shell script;
-//! these tests keep them pinned under plain `cargo test`.
+//! two warehouses, the default route, hot reload, deterministic
+//! shutdown), the HTTP transport, request-size bounds, the retired
+//! protocol v1, and usage-error exit codes. The CI smoke lanes drive the
+//! same conversations from a shell script; these tests keep them pinned
+//! under plain `cargo test`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -24,14 +25,17 @@ fn parse_ok(line: &str) -> Json {
     json
 }
 
-/// Writes a demo configuration (with `disks` disks) to a temp file.
+/// Writes a demo configuration (with `disks` disks and one evaluation
+/// worker) to a temp file.
 fn write_cfg(tag: &str, disks: u32) -> PathBuf {
     let path = std::env::temp_dir().join(format!(
         "warlockd-smoke-{tag}-{}-{:?}.cfg",
         std::process::id(),
         std::thread::current().id()
     ));
-    let cfg = render_config(&demo_config()).replace("disks = 16", &format!("disks = {disks}"));
+    let cfg = render_config(&demo_config())
+        .replace("disks = 16", &format!("disks = {disks}"))
+        .replace("parallelism = auto", "parallelism = 1");
     std::fs::write(&path, cfg).unwrap();
     path
 }
@@ -68,6 +72,13 @@ fn announced_addr(stderr: &mut impl BufRead, label: &str) -> String {
     }
 }
 
+/// The error kind of a failed response line.
+fn error_kind(json: &Json) -> Option<&str> {
+    json.get("error")
+        .and_then(|e| e.get("kind"))
+        .and_then(Json::as_str)
+}
+
 /// One request/response round-trip over an established line-protocol
 /// stream.
 fn round_trip(stream: &mut TcpStream, request: &str) -> String {
@@ -86,7 +97,6 @@ fn warlockd_stdio_round_trip() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_warlockd"))
         .arg(&config_path)
         .arg("--stdio")
-        .args(["-j", "1"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -104,7 +114,8 @@ fn warlockd_stdio_round_trip() {
         .unwrap();
         writeln!(stdin, r#"{{"v":2,"id":3,"op":"cache_stats"}}"#).unwrap();
         writeln!(stdin, r#"{{"v":2,"id":4,"op":"ping"}}"#).unwrap();
-        writeln!(stdin, r#"{{"v":2,"id":5,"op":"shutdown"}}"#).unwrap();
+        writeln!(stdin, r#"{{"v":1,"id":5,"op":"ping"}}"#).unwrap();
+        writeln!(stdin, r#"{{"v":2,"id":6,"op":"shutdown"}}"#).unwrap();
         // Dropping stdin closes the pipe; the server must already have
         // stopped at the shutdown request either way.
     }
@@ -117,7 +128,7 @@ fn warlockd_stdio_round_trip() {
     let _ = std::fs::remove_file(&config_path);
 
     assert!(status.success(), "warlockd exited with {status}");
-    assert_eq!(lines.len(), 6, "one response per request: {lines:#?}");
+    assert_eq!(lines.len(), 7, "one response per request: {lines:#?}");
 
     // Cold ping: protocol + warehouse + exact space size, no ranking
     // yet, cold cache.
@@ -178,7 +189,12 @@ fn warlockd_stdio_round_trip() {
         Some(entries)
     );
 
-    let bye = parse_ok(&lines[5]);
+    // Protocol v1 is retired: a typed error, and the server keeps going.
+    let v1 = warlock::json::parse(&lines[5]).unwrap();
+    assert_eq!(error_kind(&v1), Some("unsupported_version"));
+    assert_eq!(v1.get("id").and_then(Json::as_i64), Some(5));
+
+    let bye = parse_ok(&lines[6]);
     assert_eq!(
         bye.get("result")
             .and_then(|r| r.get("stopping"))
@@ -196,7 +212,6 @@ fn warlockd_tcp_two_warehouses_reload_and_clean_shutdown() {
         .args(["--warehouse", &format!("us={}", us_path.display())])
         .args(["--warehouse", &format!("eu={}", eu_path.display())])
         .args(["--listen", "127.0.0.1:0"])
-        .args(["-j", "1"])
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
@@ -206,8 +221,8 @@ fn warlockd_tcp_two_warehouses_reload_and_clean_shutdown() {
     let addr = announced_addr(&mut stderr, "listening");
 
     // Two concurrent clients, one per warehouse: the routed ranks must
-    // differ from each other and match what a v1 client (unrouted, so
-    // default = first warehouse = `us`) sees.
+    // differ from each other, and an unrouted request sees the default
+    // (first) warehouse, `us`.
     let threads: Vec<_> = ["us", "eu"]
         .into_iter()
         .map(|warehouse| {
@@ -226,17 +241,16 @@ fn warlockd_tcp_two_warehouses_reload_and_clean_shutdown() {
     assert_ne!(ranks[0], ranks[1], "warehouses must advise independently");
 
     let mut stream = TcpStream::connect(&addr).unwrap();
-    let v1 = round_trip(&mut stream, r#"{"v":1,"op":"rank"}"#);
-    let v1 = parse_ok(&v1);
+    let unrouted = parse_ok(&round_trip(&mut stream, r#"{"v":2,"op":"rank"}"#));
     assert_eq!(
-        v1.get("v").and_then(Json::as_i64),
-        Some(1),
-        "v1 clients get v1 responses"
-    );
-    assert_eq!(
-        v1.get("result").unwrap().render(),
+        unrouted.get("result").unwrap().render(),
         ranks[0],
-        "unrouted v1 requests resolve to the default warehouse"
+        "unrouted requests resolve to the default warehouse"
+    );
+    let v1 = round_trip(&mut stream, r#"{"v":1,"op":"rank"}"#);
+    assert_eq!(
+        error_kind(&warlock::json::parse(&v1).unwrap()),
+        Some("unsupported_version")
     );
 
     // list_warehouses sees both, sorted, with the default marked.
@@ -257,7 +271,9 @@ fn warlockd_tcp_two_warehouses_reload_and_clean_shutdown() {
 
     // Hot reload: rewrite `us` and reload it over the wire. Its advice
     // changes; `eu` keeps its cached baseline (enumerated stays set).
-    let us_cfg = render_config(&demo_config()).replace("disks = 16", "disks = 32");
+    let us_cfg = std::fs::read_to_string(&us_path)
+        .unwrap()
+        .replace("disks = 16", "disks = 32");
     std::fs::write(&us_path, us_cfg).unwrap();
     let reloaded = parse_ok(&round_trip(
         &mut stream,
@@ -305,7 +321,6 @@ fn warlockd_http_round_trip_and_shutdown() {
         .args(["--warehouse", &format!("us={}", us_path.display())])
         .args(["--warehouse", &format!("eu={}", eu_path.display())])
         .args(["--http", "127.0.0.1:0"])
-        .args(["-j", "1"])
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
@@ -345,12 +360,11 @@ fn warlockd_http_round_trip_and_shutdown() {
 
     let (status, err) = post("/v2/rank", r#"{"warehouse":"mars"}"#);
     assert_eq!(status, 404);
-    assert_eq!(
-        err.get("error")
-            .and_then(|e| e.get("kind"))
-            .and_then(Json::as_str),
-        Some("unknown_warehouse")
-    );
+    assert_eq!(error_kind(&err), Some("unknown_warehouse"));
+
+    let (status, v1) = post("/v2/ping", r#"{"v":1}"#);
+    assert_eq!(status, 400);
+    assert_eq!(error_kind(&v1), Some("unsupported_version"));
 
     let (status, bye) = post("/v2/shutdown", "");
     assert_eq!(status, 200);
@@ -369,7 +383,6 @@ fn warlockd_bounds_request_sizes_without_killing_the_connection() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_warlockd"))
         .arg(&config_path)
         .arg("--stdio")
-        .args(["-j", "1"])
         .args(["--max-request-bytes", "1024"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -402,13 +415,7 @@ fn warlockd_bounds_request_sizes_without_killing_the_connection() {
     assert_eq!(lines.len(), 3, "one response per request: {lines:#?}");
     let rejected = warlock::json::parse(&lines[0]).unwrap();
     assert_eq!(rejected.get("ok").and_then(Json::as_bool), Some(false));
-    assert_eq!(
-        rejected
-            .get("error")
-            .and_then(|e| e.get("kind"))
-            .and_then(Json::as_str),
-        Some("bad_request")
-    );
+    assert_eq!(error_kind(&rejected), Some("bad_request"));
     assert!(
         lines[0].contains("1024"),
         "the limit is named: {}",
@@ -442,8 +449,8 @@ fn warlockd_reports_bad_usage() {
     usage_error(&["a.cfg", "--default-warehouse", "ghost"]); // unknown default
     usage_error(&["a.cfg", "--max-request-bytes", "none"]);
     usage_error(&["a.cfg", "--max-request-bytes", "0"]);
-    usage_error(&["a.cfg", "--parallelism"]); // missing value
     usage_error(&["a.cfg", "--listen"]); // missing value
+    usage_error(&["a.cfg", "--parallelism", "1"]); // knobs live in the config file
 
     let status = Command::new(env!("CARGO_BIN_EXE_warlockd"))
         .arg("/definitely/not/a/file.cfg")

@@ -1,4 +1,4 @@
-//! Lazy, resumable enumeration of fragmentation candidates.
+//! Lazy enumeration of fragmentation candidates.
 //!
 //! The prediction pipeline used to materialize the whole candidate
 //! space (`Vec<Fragmentation>`) before evaluating anything, which makes
@@ -28,40 +28,11 @@
 //!
 //! [`space_size`](CandidateSource::space_size) predicts the exact
 //! number of candidates without generating any (a per-dimension
-//! dynamic program over the used-dimension count), and
-//! [`cursor`](CandidateSource::cursor)/[`resume`](CandidateSource::resume)
-//! snapshot and restore the generator state, so enumeration can be
-//! paused, persisted and continued elsewhere.
+//! dynamic program over the used-dimension count).
 
 use warlock_schema::{LevelRef, StarSchema};
 
-use crate::candidate::{CandidateError, Fragmentation};
-
-/// A snapshot of a [`CandidateSource`]'s position: everything needed to
-/// continue the enumeration where it stopped. Obtained from
-/// [`CandidateSource::cursor`] and consumed by
-/// [`CandidateSource::resume`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CandidateCursor {
-    /// Per-dimension digit: `None` = dimension unused, `Some(level)`.
-    choices: Vec<Option<u16>>,
-    /// Range-size counter per *used* dimension, in dimension order.
-    range_counters: Vec<usize>,
-    /// Candidates emitted so far.
-    emitted: u64,
-    /// Whether the stream already ran dry.
-    exhausted: bool,
-    /// Whether the very first candidate (the baseline) was emitted.
-    started: bool,
-}
-
-impl CandidateCursor {
-    /// Number of candidates emitted before this cursor position.
-    #[inline]
-    pub fn position(&self) -> u64 {
-        self.emitted
-    }
-}
+use crate::candidate::Fragmentation;
 
 /// A lazy generator over the fragmentation-candidate space of one
 /// schema. Self-contained after construction (it captures the level
@@ -73,7 +44,16 @@ pub struct CandidateSource {
     /// Admissible range sizes per `(dimension, level)`, smallest list
     /// `[1]` for point enumeration. `sizes[d][l][0]` is always `1`.
     sizes: Vec<Vec<Vec<u64>>>,
-    cursor: CandidateCursor,
+    /// Per-dimension digit: `None` = dimension unused, `Some(level)`.
+    choices: Vec<Option<u16>>,
+    /// Range-size counter per *used* dimension, in dimension order.
+    range_counters: Vec<usize>,
+    /// Candidates emitted so far.
+    emitted: u64,
+    /// Whether the stream already ran dry.
+    exhausted: bool,
+    /// Whether the very first candidate (the baseline) was emitted.
+    started: bool,
     space: u128,
 }
 
@@ -115,50 +95,13 @@ impl CandidateSource {
         Self {
             max_dimensionality,
             sizes,
-            cursor: CandidateCursor {
-                choices: vec![None; schema.num_dimensions()],
-                range_counters: Vec::new(),
-                emitted: 0,
-                exhausted: false,
-                started: false,
-            },
+            choices: vec![None; schema.num_dimensions()],
+            range_counters: Vec::new(),
+            emitted: 0,
+            exhausted: false,
+            started: false,
             space,
         }
-    }
-
-    /// Continues an enumeration from a saved [`CandidateCursor`]. The
-    /// source must be rebuilt with the **same** schema, dimensionality
-    /// cap and range options the cursor was taken under; a cursor of
-    /// the wrong shape is rejected.
-    ///
-    /// # Errors
-    ///
-    /// [`CandidateError::UnknownAttribute`] when the cursor references
-    /// a dimension or level the schema does not have (including a
-    /// digit-count mismatch).
-    pub fn resume(
-        schema: &StarSchema,
-        max_dimensionality: usize,
-        range_options: &[u64],
-        cursor: CandidateCursor,
-    ) -> Result<Self, CandidateError> {
-        let mut source = Self::ranged(schema, max_dimensionality, range_options);
-        if cursor.choices.len() != schema.num_dimensions() {
-            return Err(CandidateError::UnknownAttribute {
-                level_ref: LevelRef::new(cursor.choices.len() as u16, 0),
-            });
-        }
-        for (d, choice) in cursor.choices.iter().enumerate() {
-            if let Some(level) = *choice {
-                if usize::from(level) >= source.sizes[d].len() {
-                    return Err(CandidateError::UnknownAttribute {
-                        level_ref: LevelRef::new(d as u16, level),
-                    });
-                }
-            }
-        }
-        source.cursor = cursor;
-        Ok(source)
     }
 
     /// The exact number of candidates this source yields in total
@@ -173,19 +116,13 @@ impl CandidateSource {
     /// Candidates emitted so far.
     #[inline]
     pub fn position(&self) -> u64 {
-        self.cursor.emitted
+        self.emitted
     }
 
     /// Exact number of candidates still to come.
     #[inline]
     pub fn remaining(&self) -> u128 {
-        self.space.saturating_sub(u128::from(self.cursor.emitted))
-    }
-
-    /// Snapshots the current position for [`CandidateSource::resume`].
-    #[inline]
-    pub fn cursor(&self) -> CandidateCursor {
-        self.cursor.clone()
+        self.space.saturating_sub(u128::from(self.emitted))
     }
 
     /// The fragmentation described by the current digits.
@@ -193,10 +130,10 @@ impl CandidateSource {
         let mut attributes = Vec::new();
         let mut ranges = Vec::new();
         let mut used = 0usize;
-        for (d, choice) in self.cursor.choices.iter().enumerate() {
+        for (d, choice) in self.choices.iter().enumerate() {
             if let Some(level) = *choice {
                 attributes.push(LevelRef::new(d as u16, level));
-                let counter = self.cursor.range_counters.get(used).copied().unwrap_or(0);
+                let counter = self.range_counters.get(used).copied().unwrap_or(0);
                 ranges.push(self.sizes[d][usize::from(level)][counter]);
                 used += 1;
             }
@@ -211,15 +148,15 @@ impl CandidateSource {
         // Walk the used dimensions in reverse (last counter spins
         // fastest), carrying on wrap — no per-candidate allocation in
         // this hot loop.
-        let mut pos = self.cursor.range_counters.len();
-        for (d, choice) in self.cursor.choices.iter().enumerate().rev() {
+        let mut pos = self.range_counters.len();
+        for (d, choice) in self.choices.iter().enumerate().rev() {
             let Some(level) = *choice else { continue };
             pos -= 1;
-            self.cursor.range_counters[pos] += 1;
-            if self.cursor.range_counters[pos] < self.sizes[d][usize::from(level)].len() {
+            self.range_counters[pos] += 1;
+            if self.range_counters[pos] < self.sizes[d][usize::from(level)].len() {
                 return true;
             }
-            self.cursor.range_counters[pos] = 0;
+            self.range_counters[pos] = 0;
         }
         debug_assert_eq!(pos, 0);
         false
@@ -230,20 +167,17 @@ impl CandidateSource {
     /// most `max_dimensionality` used digits). Returns `false` once the
     /// space is exhausted.
     fn advance_point(&mut self) -> bool {
-        let dims = self.cursor.choices.len();
+        let dims = self.choices.len();
         let mut d = dims;
         while d > 0 {
             d -= 1;
-            let used_before = self.cursor.choices[..d]
-                .iter()
-                .filter(|c| c.is_some())
-                .count();
+            let used_before = self.choices[..d].iter().filter(|c| c.is_some()).count();
             let depth = self.sizes[d].len();
-            match self.cursor.choices[d] {
+            match self.choices[d] {
                 None => {
                     if used_before < self.max_dimensionality && depth > 0 {
-                        self.cursor.choices[d] = Some(0);
-                        for later in &mut self.cursor.choices[d + 1..] {
+                        self.choices[d] = Some(0);
+                        for later in &mut self.choices[d + 1..] {
                             *later = None;
                         }
                         self.reset_range_counters();
@@ -253,14 +187,14 @@ impl CandidateSource {
                 }
                 Some(level) => {
                     if usize::from(level) + 1 < depth {
-                        self.cursor.choices[d] = Some(level + 1);
-                        for later in &mut self.cursor.choices[d + 1..] {
+                        self.choices[d] = Some(level + 1);
+                        for later in &mut self.choices[d + 1..] {
                             *later = None;
                         }
                         self.reset_range_counters();
                         return true;
                     }
-                    self.cursor.choices[d] = None;
+                    self.choices[d] = None;
                 }
             }
         }
@@ -268,9 +202,9 @@ impl CandidateSource {
     }
 
     fn reset_range_counters(&mut self) {
-        let used = self.cursor.choices.iter().filter(|c| c.is_some()).count();
-        self.cursor.range_counters.clear();
-        self.cursor.range_counters.resize(used, 0);
+        let used = self.choices.iter().filter(|c| c.is_some()).count();
+        self.range_counters.clear();
+        self.range_counters.resize(used, 0);
     }
 }
 
@@ -278,18 +212,18 @@ impl Iterator for CandidateSource {
     type Item = Fragmentation;
 
     fn next(&mut self) -> Option<Fragmentation> {
-        if self.cursor.exhausted {
+        if self.exhausted {
             return None;
         }
-        if !self.cursor.started {
+        if !self.started {
             // The all-`None` baseline is the first candidate.
-            self.cursor.started = true;
+            self.started = true;
             self.reset_range_counters();
         } else if !self.advance_ranges() && !self.advance_point() {
-            self.cursor.exhausted = true;
+            self.exhausted = true;
             return None;
         }
-        self.cursor.emitted += 1;
+        self.emitted += 1;
         Some(self.current())
     }
 
@@ -466,41 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn cursor_resume_reproduces_the_tail() {
-        let s = schema();
-        let options = [2u64, 3];
-        let full: Vec<_> = CandidateSource::ranged(&s, 3, &options).collect();
-        for split in [0usize, 1, 7, 100, full.len() - 1, full.len()] {
-            let mut head = CandidateSource::ranged(&s, 3, &options);
-            let mut prefix = Vec::new();
-            for _ in 0..split {
-                prefix.push(head.next().unwrap());
-            }
-            let cursor = head.cursor();
-            assert_eq!(cursor.position(), split as u64);
-            let tail: Vec<_> = CandidateSource::resume(&s, 3, &options, cursor)
-                .unwrap()
-                .collect();
-            let mut rebuilt = prefix;
-            rebuilt.extend(tail);
-            assert_eq!(rebuilt, full, "split at {split}");
-        }
-    }
-
-    #[test]
-    fn resume_rejects_foreign_cursors() {
-        let s = schema();
-        let mut source = CandidateSource::point(&s, 2);
-        let _ = source.next();
-        let mut cursor = source.cursor();
-        cursor.choices.push(None);
-        assert!(CandidateSource::resume(&s, 2, &[], cursor).is_err());
-        let mut cursor = source.cursor();
-        cursor.choices[0] = Some(99);
-        assert!(CandidateSource::resume(&s, 2, &[], cursor).is_err());
-    }
-
-    #[test]
     fn size_hint_is_exact() {
         let s = schema();
         let mut source = CandidateSource::point(&s, 4);
@@ -520,30 +419,5 @@ mod tests {
             assert!(seen.insert(c.clone()), "duplicate {c}");
         }
         assert_eq!(all.iter().filter(|c| c.is_none()).count(), 1);
-    }
-}
-
-#[cfg(test)]
-mod review_probe {
-    use super::*;
-    use warlock_schema::{apb1_like_schema, Apb1Config};
-    #[test]
-    fn resume_with_different_range_options_panics() {
-        let s = apb1_like_schema(Apb1Config::default()).unwrap();
-        let mut src = CandidateSource::ranged(&s, 3, &[2, 3]);
-        // Advance until some range counter is nonzero.
-        let mut cursor = None;
-        for _ in 0..500 {
-            src.next();
-            let c = src.cursor();
-            if c.range_counters.iter().any(|&x| x > 0) {
-                cursor = Some(c);
-                break;
-            }
-        }
-        let cursor = cursor.expect("found nonzero counter");
-        // Resume under point-only options: validation passes, then iteration panics.
-        let mut resumed = CandidateSource::resume(&s, 3, &[], cursor).unwrap();
-        let _ = resumed.next();
     }
 }
