@@ -1,17 +1,16 @@
-//! Criterion: parallel candidate evaluation, the per-session
-//! evaluation cache, and the streaming candidate pipeline.
+//! Criterion: the per-session evaluation cache and the streaming
+//! candidate pipeline.
 //!
-//! `engine/run_workers_*` sweeps the `AdvisorConfig::parallelism` knob
-//! over the full 168-candidate APB-1-like pipeline — the 4-worker point
-//! is expected to finish in well under half the serial wall-clock on a
-//! 4-way machine. `cache/*` contrasts a cold what-if variation (every
-//! candidate re-costed) with a warm one (pure cache hits).
+//! `cache/*` contrasts a cold what-if variation (every candidate
+//! re-costed) with a warm one (pure cache hits).
 //!
 //! `space/*` sweeps the candidate space itself: point vs ranged
 //! enumeration, chunked-streaming vs materialized. A counting global
 //! allocator records allocation counts and **peak live bytes** around
 //! each variant (printed once before the timed runs), so the perf
 //! trajectory captures the streaming memory win, not just wall-clock.
+//! `engine/run_chunk_*` re-costs the full 168-candidate APB-1-like
+//! pipeline at several chunk sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -23,26 +22,6 @@ use warlock_fragment::CandidateSource;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-fn bench_worker_sweep(c: &mut Criterion) {
-    let f = Fixture::demo();
-    let mut group = c.benchmark_group("engine");
-    for workers in [1usize, 2, 4, 8] {
-        let mut session = f.session_with(AdvisorConfig {
-            parallelism: workers,
-            ..Default::default()
-        });
-        group.bench_function(BenchmarkId::new("run_workers", workers), |b| {
-            b.iter(|| {
-                // Drop the memo so every iteration re-costs all 168
-                // candidates — this measures evaluation, not the cache.
-                session.invalidate();
-                black_box(session.rank().unwrap().ranked.len())
-            })
-        });
-    }
-    group.finish();
-}
 
 fn bench_cold_vs_warm_what_if(c: &mut Criterion) {
     let f = Fixture::demo();
@@ -108,12 +87,13 @@ fn bench_candidate_space_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine");
     for chunk in [1usize, 16, 256] {
         let mut session = f.session_with(AdvisorConfig {
-            parallelism: 1,
             chunk_size: chunk,
             ..Default::default()
         });
         group.bench_function(BenchmarkId::new("run_chunk", chunk), |b| {
             b.iter(|| {
+                // Drop the memo so every iteration re-costs all 168
+                // candidates — this measures evaluation, not the cache.
                 session.invalidate();
                 black_box(session.rank().unwrap().ranked.len())
             })
@@ -133,6 +113,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_worker_sweep, bench_cold_vs_warm_what_if, bench_candidate_space_sweep
+    targets = bench_cold_vs_warm_what_if, bench_candidate_space_sweep
 }
 criterion_main!(benches);

@@ -56,7 +56,7 @@ pub struct ScenarioMetrics {
     /// Single-thread cold-cache evaluation throughput: candidates/sec
     /// through the batched evaluator (cost-table build included) over
     /// the scenario's structurally admissible candidate space — no
-    /// memo, no ranking, one worker.
+    /// memo, no ranking.
     pub candidates_per_sec: f64,
     /// Wall-clock of planning the winner's allocation.
     pub alloc_ms: f64,
@@ -373,7 +373,6 @@ fn run_scenario(
             for chunk in [1usize, 64] {
                 let mut config = session.config().clone();
                 config.chunk_size = chunk;
-                config.parallelism = 1;
                 let streamed = Warlock::builder()
                     .schema(session.schema().clone())
                     .system(*session.system())

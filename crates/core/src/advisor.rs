@@ -11,8 +11,7 @@
 //! size was O(candidate space) — the summary keeps exact per-reason
 //! counts plus a capped number of sample candidates per reason
 //! ([`ExcludedSummary::SAMPLES_PER_REASON`]), in enumeration order, so
-//! the report stays small and deterministic at any worker count and
-//! chunk size.
+//! the report stays small and deterministic at any chunk size.
 
 use warlock_bitmap::BitmapScheme;
 use warlock_cost::CandidateCost;

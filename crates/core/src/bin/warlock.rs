@@ -17,8 +17,9 @@
 //!   json              complete advisory as JSON (ranking + analysis + allocation)
 //! ```
 //!
-//! The advisor's knobs (`parallelism`, `max_candidates`, `chunk_size`,
-//! …) are set in the configuration file's `[advisor]` section.
+//! The advisor's knobs (`max_candidates`, `chunk_size`, …) are set in
+//! the configuration file's `[advisor]` section. Evaluation runs on
+//! one thread; a `parallelism` key is accepted but has no effect.
 //!
 //! Exit codes: 0 on success (including an empty ranking — `rank`,
 //! `csv`, `json` and `excluded` report whatever survived), 1 on runtime

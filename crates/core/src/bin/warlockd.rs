@@ -19,7 +19,9 @@
 //!   can spawn a process. This is the default when no transport flag is
 //!   given.
 //! - `--listen ADDR` accepts any number of concurrent TCP connections,
-//!   one thread per connection, speaking the same line protocol.
+//!   one thread per connection, speaking the same line protocol. Each
+//!   request is evaluated on its connection's thread; that is the
+//!   server's only parallelism.
 //! - `--http ADDR` serves the same op set as minimal HTTP/1.1
 //!   (`POST /v2/<op>`, JSON body in/out — see [`warlock::http`]), and
 //!   may be combined with `--listen`. Both network transports run the
@@ -29,9 +31,10 @@
 //!   `bad_request` error instead of buffering without bound, and the
 //!   connection stays usable.
 //!
-//! The advisor's knobs (`parallelism`, `max_candidates`, `chunk_size`,
-//! …) come from each warehouse's configuration file alone, so what a
-//! wire `reload` re-reads is exactly what was served before it.
+//! The advisor's knobs (`max_candidates`, `chunk_size`, …) come from
+//! each warehouse's configuration file alone, so what a wire `reload`
+//! re-reads is exactly what was served before it. A `parallelism` key
+//! is accepted there but has no effect.
 //!
 //! A `{"op":"shutdown"}` request over *any* transport stops the whole
 //! server after the response is flushed (as does EOF on stdin in stdio

@@ -29,11 +29,12 @@ pub struct AdvisorConfig {
     pub skew: Option<Vec<DimensionSkew>>,
     /// Which fact table to advise on.
     pub fact_index: usize,
-    /// Worker threads for candidate evaluation: `0` = auto (all available
-    /// cores, overridable via the `WARLOCK_PARALLELISM` environment
-    /// variable), `1` = strictly serial, `n` = exactly `n` workers. Any
-    /// setting produces bit-identical reports; the knob only trades
-    /// wall-clock time for threads.
+    /// The retired evaluation worker count; it has no effect. Candidate
+    /// evaluation always runs on the calling thread (a `warlockd`
+    /// server gets its concurrency from one thread per connection).
+    /// The field is still parsed, validated and rendered (`0` as
+    /// `auto`) so existing configuration files and their fingerprints
+    /// stay unchanged.
     pub parallelism: usize,
     /// Hard budget on the candidate space a single pipeline run may
     /// enumerate: `0` = unlimited, `n` = runs whose exact predicted

@@ -43,10 +43,10 @@
 //! max_fragments = 1048576
 //! allocation_policy = auto            # or auto:<cv> | greedy | round_robin | graph
 //! graph_seed = 0                      # graph policy tie-break seed (optional)
-//! parallelism = auto                  # evaluation workers; 1 = serial
+//! parallelism = auto                  # accepted, no effect (evaluation is serial)
 //! max_candidates = unlimited          # or a candidate-space budget
 //! chunk_size = auto                   # streaming evaluation chunk
-//! kernel = auto                       # costing backend: scalar | lanes | avx2
+//! kernel = auto                       # retired costing backend; accepted, no effect
 //! range_options = 2, 3, 5             # extra MDHF range sizes (optional)
 //! auto_advise = off                   # resident optimizer: on | off
 //! drift_enter = 0.25                  # drift score entering `Drifting`

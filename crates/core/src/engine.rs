@@ -8,31 +8,31 @@
 //! space): each chunk is resolved against the [`EvalCache`], cheap
 //! structural pre-exclusion culls candidates whose fragment count
 //! already disqualifies them before any layout or cost work, and the
-//! rest fan out over a persistent [`exec::WorkerPool`]. Chunk results
-//! merge in enumeration order into a
+//! rest are costed on the calling thread in batched groups. Chunk
+//! results merge in enumeration order into a
 //! [`StreamingRank`](crate::ranking::StreamingRank) accumulator (which
 //! retains only the phase-1 survivors) and a bounded
 //! [`ExcludedSummary`], so the report is **bit-identical** to the
-//! historical materialized pass at any worker count and chunk size
-//! while peak memory is O(chunk + survivors).
+//! historical materialized pass at any chunk size while peak memory is
+//! O(chunk + survivors).
 //!
 //! [`AdvisorConfig::max_candidates`] turns an over-broad run into a
 //! typed [`WarlockError::CandidateBudget`] up front (the source
 //! predicts the exact space size before generating anything). Internal
 //! invariant failures surface as [`WarlockError::Internal`] instead of
-//! panicking, so a worker bug in a long-lived service degrades to a
-//! failed request.
+//! panicking, so an evaluation bug in a long-lived service degrades to
+//! a failed request.
 
 use std::sync::Arc;
 
 use warlock_bitmap::BitmapScheme;
 use warlock_cost::{
-    combine_class_costs, evaluate_chunk_kernel, CandidateCost, ChunkBatch, CostModel, CostTables,
+    combine_class_costs, evaluate_chunk_kernel, CandidateCost, CostModel, CostTables,
     KernelBackend, PerQueryDetail,
 };
 use warlock_fragment::{
-    CandidateError, CandidateSource, Exclusion, FragmentLayout, Fragmentation, LayoutScratch,
-    SkewModelExt, ThresholdContext,
+    CandidateError, CandidateSource, Exclusion, FragmentLayout, Fragmentation, SkewModelExt,
+    ThresholdContext,
 };
 use warlock_schema::StarSchema;
 use warlock_skew::SkewModel;
@@ -56,8 +56,9 @@ pub(crate) mod exec;
 pub(crate) const CHUNK_SIZE_ENV: &str = "WARLOCK_CHUNK_SIZE";
 
 /// Default evaluation chunk size under `chunk_size = 0`: large enough
-/// to keep every worker of a wide pool busy per round, small enough
-/// that pipeline memory stays a rounding error next to the survivors.
+/// that the per-chunk memo and merge bookkeeping amortize, small
+/// enough that pipeline memory stays a rounding error next to the
+/// survivors.
 const DEFAULT_CHUNK_SIZE: usize = 256;
 
 /// Resolves the configured chunk-size knob: `n >= 1` is taken
@@ -76,16 +77,6 @@ pub(crate) fn effective_chunk_size(requested: usize) -> usize {
         }
     }
     DEFAULT_CHUNK_SIZE
-}
-
-/// The execution environment a pipeline run borrows from its session:
-/// the shared evaluation memo and the persistent worker pool.
-#[derive(Clone, Copy)]
-pub(crate) struct EvalEnv<'a> {
-    /// Per-candidate outcome memo.
-    pub cache: &'a EvalCache,
-    /// The persistent evaluation pool work fans out over.
-    pub pool: &'a exec::WorkerPool,
 }
 
 /// Validates all advisor inputs and derives the bitmap scheme and skew
@@ -181,10 +172,10 @@ fn evaluate_fingerprint(model: &CostModel<'_>) -> u128 {
 }
 
 /// Cheap structural pre-exclusion: decides from the fragment count
-/// alone — no layout, no costing — whether a candidate is out. Runs on
-/// the submitting thread before any pool work, so enormous candidates
-/// (including those whose count does not even fit `u64`) never occupy
-/// a worker. The exact `u128` count is reported, never a wrapped one.
+/// alone — no layout, no costing — whether a candidate is out. Runs
+/// before any layout work, so enormous candidates (including those
+/// whose count does not even fit `u64`) never reach the layout
+/// builder. The exact `u128` count is reported, never a wrapped one.
 fn pre_exclude(
     schema: &StarSchema,
     config: &AdvisorConfig,
@@ -205,23 +196,12 @@ fn pre_exclude(
     None
 }
 
-/// Largest number of candidates one worker batches per costing call.
-/// Bounds the SoA column memory of a group while staying wide enough
-/// that the per-class table lookups amortize.
+/// Largest number of candidates batched per costing call. Bounds the
+/// SoA column memory of a group while staying wide enough that the
+/// per-class table lookups amortize.
 const MAX_GROUP_SIZE: usize = 64;
 
-/// Per-worker reusable evaluation arenas: layout construction buffers,
-/// the chunk batch, and the staging map from batch position back to
-/// group slot. Acquired once per pool thread via [`exec::with_scratch`],
-/// so all three amortize to zero steady-state allocation.
-#[derive(Debug, Default)]
-struct EvalScratch {
-    layout: LayoutScratch,
-    batch: ChunkBatch,
-    staged: Vec<usize>,
-}
-
-/// One worker-side result: the weighted outcome the merge loop ranks
+/// One evaluated candidate: the weighted outcome the merge loop ranks
 /// with, plus the ready-to-insert memo entry for the candidate — the
 /// weight-free [`CachedOutcome::Classes`] rows of a costed candidate,
 /// or the exclusion itself.
@@ -230,11 +210,11 @@ struct GroupEval {
     memo: CachedOutcome,
 }
 
-/// The worker-side pipeline step for one group of candidates: layout →
-/// thresholds per candidate (layouts built into the recycled scratch),
-/// then a single batched costing pass over every survivor. Pure in its
-/// inputs, so it can run on any worker; returns one outcome per group
-/// entry, in group order. Callers must have passed every candidate
+/// The pipeline step for one group of candidates: layout → thresholds
+/// per candidate (layouts built into the thread's recycled
+/// [`exec::EvalScratch`]), then a single batched costing pass over
+/// every survivor. Returns one outcome per group entry, in group
+/// order. Callers must have passed every candidate
 /// through [`pre_exclude`] first (the layout would panic on a
 /// `u64`-overflowing fragment count otherwise).
 fn evaluate_group(
@@ -244,7 +224,7 @@ fn evaluate_group(
     tables: &CostTables,
     chunk: &[Fragmentation],
     group: &[usize],
-    scratch: &mut EvalScratch,
+    scratch: &mut exec::EvalScratch,
 ) -> Vec<Option<GroupEval>> {
     let mut outcomes: Vec<Option<GroupEval>> = Vec::with_capacity(group.len());
     outcomes.resize_with(group.len(), || None);
@@ -299,15 +279,14 @@ fn evaluate_group(
 ///
 /// Candidates are pulled lazily from the enumeration source in chunks
 /// of [`AdvisorConfig::chunk_size`]; each chunk is resolved against the
-/// memo, structurally pre-excluded, fanned out over the environment's
-/// persistent worker pool (up to `config.parallelism` workers, see
-/// [`exec`]) and merged **in enumeration order** into the streaming
-/// rank accumulator and the bounded exclusion summary — so the report
-/// is bit-identical at any worker count and chunk size, and pipeline
-/// memory is O(chunk + phase-1 survivors), never O(candidate space).
-/// Per-candidate outcomes are memoized in the environment's cache under
-/// the input fingerprint, so re-runs with unchanged inputs skip
-/// re-evaluation.
+/// memo, structurally pre-excluded, costed on the calling thread in
+/// groups of at most [`MAX_GROUP_SIZE`] and merged **in enumeration
+/// order** into the streaming rank accumulator and the bounded
+/// exclusion summary — so the report is bit-identical at any chunk
+/// size, and pipeline memory is O(chunk + phase-1 survivors), never
+/// O(candidate space). [`AdvisorConfig::parallelism`] is not read.
+/// Per-candidate outcomes are memoized in `cache` under the input
+/// fingerprint, so re-runs with unchanged inputs skip re-evaluation.
 ///
 /// # Errors
 ///
@@ -320,7 +299,7 @@ pub(crate) fn run(
     mix: &QueryMix,
     config: &AdvisorConfig,
     scheme: &BitmapScheme,
-    env: EvalEnv<'_>,
+    cache: &EvalCache,
 ) -> Result<AdvisorReport, WarlockError> {
     let mut source =
         CandidateSource::ranged(schema, config.max_dimensionality, &config.range_options);
@@ -340,8 +319,7 @@ pub(crate) fn run(
     // map walks per candidate; the skipped lookups are still accounted
     // as misses (`record_misses`) so the observable hit rate is
     // unchanged.
-    let probe_cache = env.cache.has_entries(fingerprint);
-    let workers = exec::effective_parallelism(config.parallelism);
+    let probe_cache = cache.has_entries(fingerprint);
     // Current mix shares, in mix order — the order the per-class memo
     // rows are gathered in, so a `Classes` hit recombines positionally.
     let shares: Vec<f64> = mix.iter().map(|(_, share)| share).collect();
@@ -381,16 +359,16 @@ pub(crate) fn run(
         enumerated += chunk.len();
 
         // Resolve each candidate: memo hit, structural pre-exclusion,
-        // or fresh work for the pool.
+        // or fresh work.
         outcomes.clear();
         outcomes.resize(chunk.len(), None);
         todo.clear();
         if !probe_cache {
-            env.cache.record_misses(chunk.len() as u64);
+            cache.record_misses(chunk.len() as u64);
         }
         for i in 0..chunk.len() {
             if probe_cache {
-                if let Some(outcome) = env.cache.lookup(fingerprint, &chunk[i]) {
+                if let Some(outcome) = cache.lookup(fingerprint, &chunk[i]) {
                     outcomes[i] = Some(outcome);
                     continue;
                 }
@@ -413,20 +391,14 @@ pub(crate) fn run(
             }
         }
 
-        // Fan the uncached evaluations out over the pool in contiguous
-        // groups (one SoA batch per group, costed through the shared
-        // tables); results come back in `todo` order regardless of
-        // worker scheduling.
+        // Cost the uncached candidates in contiguous groups (one SoA
+        // batch per group, priced through the shared tables).
         if !todo.is_empty() {
             let tables = tables.get_or_init(|| CostTables::build(&model, &config.range_options));
-            let group_size = todo.len().div_ceil(workers).clamp(1, MAX_GROUP_SIZE);
-            let groups: Vec<&[usize]> = todo.chunks(group_size).collect();
-            let fresh = env.pool.map(workers, &groups, |group| {
-                exec::with_scratch(|scratch: &mut EvalScratch| {
+            for group in todo.chunks(MAX_GROUP_SIZE) {
+                let group_outcomes = exec::with_scratch(|scratch| {
                     evaluate_group(schema, config, ctx, tables, &chunk, group, scratch)
-                })
-            });
-            for (group, group_outcomes) in groups.iter().zip(fresh) {
+                });
                 for (&i, eval) in group.iter().zip(group_outcomes) {
                     let GroupEval { outcome, memo } = eval.ok_or_else(|| {
                         WarlockError::internal("group evaluation left no outcome")
@@ -451,7 +423,7 @@ pub(crate) fn run(
             }
         }
         if !pending.is_empty() {
-            env.cache.insert_batch(fingerprint, pending.drain(..));
+            cache.insert_batch(fingerprint, pending.drain(..));
         }
 
         // Merge in enumeration order. The rank accumulator's horizon is
@@ -542,12 +514,12 @@ pub(crate) fn vary_disks(
     config: &AdvisorConfig,
     scheme: &BitmapScheme,
     num_disks: u32,
-    env: EvalEnv<'_>,
+    cache: &EvalCache,
 ) -> Result<(String, AdvisorReport), WarlockError> {
     let effective = num_disks.max(1);
     let mut system = *system;
     system.num_disks = effective;
-    let report = run(schema, &system, mix, config, scheme, env)?;
+    let report = run(schema, &system, mix, config, scheme, cache)?;
     Ok((clamped_label("disks", num_disks, effective, ""), report))
 }
 
@@ -560,14 +532,14 @@ pub(crate) fn vary_fixed_prefetch(
     config: &AdvisorConfig,
     scheme: &BitmapScheme,
     pages: u32,
-    env: EvalEnv<'_>,
+    cache: &EvalCache,
 ) -> Result<(String, AdvisorReport), WarlockError> {
     use warlock_storage::PrefetchPolicy;
     let effective = pages.max(1);
     let mut system = *system;
     system.fact_prefetch = PrefetchPolicy::Fixed(effective);
     system.bitmap_prefetch = PrefetchPolicy::Fixed(effective);
-    let report = run(schema, &system, mix, config, scheme, env)?;
+    let report = run(schema, &system, mix, config, scheme, cache)?;
     Ok((
         clamped_label("prefetch", pages, effective, " pages"),
         report,
@@ -583,11 +555,11 @@ pub(crate) fn vary_without_bitmap_dimension(
     config: &AdvisorConfig,
     scheme: &BitmapScheme,
     dimension: warlock_schema::DimensionId,
-    env: EvalEnv<'_>,
+    cache: &EvalCache,
 ) -> Result<(String, AdvisorReport), WarlockError> {
     schema.dimension(dimension)?;
     let scheme = scheme.without_dimension(dimension);
-    let report = run(schema, system, mix, config, &scheme, env)?;
+    let report = run(schema, system, mix, config, &scheme, cache)?;
     Ok((format!("no bitmaps on dimension {dimension}"), report))
 }
 
@@ -602,13 +574,13 @@ pub(crate) fn vary_without_class(
     mix: &QueryMix,
     config: &AdvisorConfig,
     name: &str,
-    env: EvalEnv<'_>,
+    cache: &EvalCache,
 ) -> Result<(String, AdvisorReport), WarlockError> {
     let mix = mix
         .without_class(name)
         .ok_or_else(|| WarlockError::UnknownClass { name: name.into() })?;
     let scheme = BitmapScheme::derive(schema, &mix, config.scheme);
-    let report = run(schema, system, &mix, config, &scheme, env)?;
+    let report = run(schema, system, &mix, config, &scheme, cache)?;
     Ok((format!("without class {name}"), report))
 }
 

@@ -356,7 +356,6 @@ mod tests {
             .schema(apb1_like_schema(Apb1Config::default()).unwrap())
             .system(SystemConfig::default_2001(disks))
             .mix(apb1_like_mix().unwrap())
-            .parallelism(1)
             .build()
             .unwrap()
     }

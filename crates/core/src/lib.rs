@@ -59,9 +59,11 @@
 //! ```
 //!
 //! [`Warlock`] is `Clone`: clones share an immutable, `Arc`-backed
-//! [`session::Snapshot`] plus the evaluation cache and the persistent
-//! worker pool, while mutators (`set_system`/`set_mix`/`set_config`)
-//! are copy-on-write snapshot swaps — see [`session`]. The [`registry`]
+//! [`session::Snapshot`] plus the evaluation cache, while mutators
+//! (`set_system`/`set_mix`/`set_config`) are copy-on-write snapshot
+//! swaps — see [`session`]. Every evaluation runs on the calling
+//! thread; concurrency comes from clones used on different threads,
+//! such as `warlockd`'s one thread per connection. The [`registry`]
 //! module holds any number of **named** sessions (load/unload/
 //! hot-reload), and the [`service`] module (with the `warlockd` binary)
 //! dispatches a versioned JSON protocol over it — newline-delimited
@@ -77,6 +79,7 @@
 //! [`serial`]).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod advisor;
 pub mod allocation_plan;

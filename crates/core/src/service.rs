@@ -7,10 +7,10 @@
 //! scale for **many warehouses at once**: it is a thin dispatcher over a
 //! [`Registry`] of named [`Warlock`] sessions. Read requests resolve
 //! their warehouse, clone its session handle (cheap — clones share the
-//! immutable snapshot, the evaluation cache and the worker pool) and
-//! evaluate **without holding any lock**, so concurrent what-ifs run
-//! truly in parallel and a variation priced for one client is warm for
-//! every other. Mutating ops (`set_mix`, `set_budget`, `reload`) swap
+//! immutable snapshot and the evaluation cache) and evaluate on the
+//! calling thread **without holding any lock**, so what-ifs from
+//! different connections run truly in parallel and a variation priced
+//! for one client is warm for every other. Mutating ops (`set_mix`, `set_budget`, `reload`) swap
 //! one warehouse's session to a new snapshot under a brief write lock;
 //! in-flight readers finish on the old snapshot, and sibling warehouses
 //! are never disturbed.
@@ -604,7 +604,6 @@ mod tests {
             .schema(apb1_like_schema(Apb1Config::default()).unwrap())
             .system(SystemConfig::default_2001(disks))
             .mix(apb1_like_mix().unwrap())
-            .parallelism(1)
             .build()
             .unwrap()
     }

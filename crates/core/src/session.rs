@@ -29,15 +29,15 @@
 //!   derived bitmap scheme and skew model, all validated exactly once,
 //!   plus the lazily computed baseline ranking;
 //! - shared mutable state — the cross-clone [`EvalCache`] and the
-//!   persistent evaluation worker pool.
+//!   resident optimizer's observed-workload state.
 //!
 //! `Warlock` is therefore [`Clone`], and cloning is cheap: clones
-//! **share** the snapshot, the cache and the pool. Every read-side
-//! method (`rank`, `analyze`, `evaluate`, `what_if_*`, …) takes
-//! `&self`, so clones on different threads explore what-ifs
-//! concurrently with no aliasing and no locks held across an
-//! evaluation — and a variation priced on one clone is warm in the
-//! shared cache for every other clone.
+//! **share** the snapshot and the cache. Every read-side method
+//! (`rank`, `analyze`, `evaluate`, `what_if_*`, …) takes `&self` and
+//! evaluates on the calling thread, so clones on different threads
+//! explore what-ifs concurrently with no aliasing and no locks held
+//! across an evaluation — and a variation priced on one clone is warm
+//! in the shared cache for every other clone.
 //!
 //! Mutators ([`Warlock::set_system`], [`Warlock::set_mix`],
 //! [`Warlock::set_config`]) are copy-on-write: they validate the new
@@ -63,8 +63,6 @@ use crate::cache::{EvalCache, EvalCacheStats};
 use crate::config::AdvisorConfig;
 use crate::config_file::parse_config;
 use crate::engine;
-use crate::engine::exec::WorkerPool;
-use crate::engine::EvalEnv;
 use crate::error::WarlockError;
 use crate::optimizer::{AdviceEvent, DriftStatus, OptimizerState};
 use crate::tuning::TuningDelta;
@@ -162,23 +160,13 @@ impl Snapshot {
 }
 
 /// State every clone of one session family shares: the evaluation
-/// memo, the persistent worker pool, and the resident optimizer's
-/// observed-workload state (statistics window, drift detector, advice
-/// events — `None` until the first [`Warlock::observe`]).
+/// memo and the resident optimizer's observed-workload state
+/// (statistics window, drift detector, advice events — `None` until
+/// the first [`Warlock::observe`]).
 #[derive(Debug, Default)]
 pub(crate) struct Shared {
     pub(crate) cache: EvalCache,
-    pub(crate) pool: WorkerPool,
     pub(crate) optimizer: std::sync::Mutex<Option<OptimizerState>>,
-}
-
-impl Shared {
-    pub(crate) fn env(&self) -> EvalEnv<'_> {
-        EvalEnv {
-            cache: &self.cache,
-            pool: &self.pool,
-        }
-    }
 }
 
 /// An owned WARLOCK advisory session. See the [module docs](self).
@@ -198,10 +186,6 @@ pub struct WarlockBuilder {
     system: Option<SystemConfig>,
     mix: Option<QueryMix>,
     config: AdvisorConfig,
-    parallelism: Option<usize>,
-    max_candidates: Option<u64>,
-    chunk_size: Option<usize>,
-    allocation_policy: Option<warlock_alloc::AllocationPolicy>,
 }
 
 impl WarlockBuilder {
@@ -223,49 +207,10 @@ impl WarlockBuilder {
         self
     }
 
-    /// Sets the advisor configuration (thresholds, ranking knobs, skew).
+    /// Sets the advisor configuration: thresholds, ranking knobs,
+    /// skew, allocation policy, candidate budget and chunk size.
     pub fn config(mut self, config: AdvisorConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Sets the candidate-evaluation worker count (`0` = auto, `1` =
-    /// serial). Takes precedence over [`AdvisorConfig::parallelism`]
-    /// regardless of the order it is combined with [`config`](Self::config).
-    pub fn parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = Some(workers);
-        self
-    }
-
-    /// Sets the candidate-space budget (`0` = unlimited): pipeline runs
-    /// whose exact predicted space exceeds it fail with
-    /// [`WarlockError::CandidateBudget`] before any evaluation. Takes
-    /// precedence over [`AdvisorConfig::max_candidates`] regardless of
-    /// the order it is combined with [`config`](Self::config).
-    pub fn max_candidates(mut self, budget: u64) -> Self {
-        self.max_candidates = Some(budget);
-        self
-    }
-
-    /// Sets the streaming evaluation chunk size (`0` = auto). Any value
-    /// yields bit-identical reports. Takes precedence over
-    /// [`AdvisorConfig::chunk_size`] regardless of the order it is
-    /// combined with [`config`](Self::config).
-    pub fn chunk_size(mut self, candidates: usize) -> Self {
-        self.chunk_size = Some(candidates);
-        self
-    }
-
-    /// Sets the fragment placement policy (e.g.
-    /// [`AllocationPolicy::GraphPartition`] for the co-access graph
-    /// partitioner). Takes precedence over
-    /// [`AdvisorConfig::allocation_policy`] regardless of the order it
-    /// is combined with [`config`](Self::config).
-    ///
-    /// [`AllocationPolicy::GraphPartition`]: warlock_alloc::AllocationPolicy::GraphPartition
-    /// [`AdvisorConfig::allocation_policy`]: crate::AdvisorConfig
-    pub fn allocation_policy(mut self, policy: warlock_alloc::AllocationPolicy) -> Self {
-        self.allocation_policy = Some(policy);
         self
     }
 
@@ -285,19 +230,7 @@ impl WarlockBuilder {
             .system
             .ok_or(WarlockError::MissingInput { what: "system" })?;
         let mix = self.mix.ok_or(WarlockError::MissingInput { what: "mix" })?;
-        let mut config = self.config;
-        if let Some(workers) = self.parallelism {
-            config.parallelism = workers;
-        }
-        if let Some(budget) = self.max_candidates {
-            config.max_candidates = budget;
-        }
-        if let Some(chunk) = self.chunk_size {
-            config.chunk_size = chunk;
-        }
-        if let Some(policy) = self.allocation_policy {
-            config.allocation_policy = policy;
-        }
+        let config = self.config;
         let (scheme, skew) = engine::validate(&schema, &system, &mix, &config)?;
         Ok(Warlock {
             snapshot: Arc::new(Snapshot::new(schema, system, mix, config, scheme, skew)),
@@ -462,7 +395,7 @@ impl Warlock {
     /// handle move to the new snapshot. On any error the session keeps
     /// serving its previous snapshot unchanged. Clones — including
     /// in-flight readers — finish on the old snapshot; the shared
-    /// evaluation cache and worker pool are kept (entries are keyed by
+    /// evaluation cache is kept (entries are keyed by
     /// input fingerprints, so reverting to a previously served
     /// configuration is warm).
     pub fn reload_from_parsed(
@@ -535,7 +468,7 @@ impl Warlock {
             &s.mix,
             &s.config,
             &s.scheme,
-            self.shared.env(),
+            &self.shared.cache,
         )
     }
 
@@ -685,7 +618,7 @@ impl Warlock {
             &s.config,
             &s.scheme,
             num_disks,
-            self.shared.env(),
+            &self.shared.cache,
         )?;
         self.with_delta(varied)
     }
@@ -704,7 +637,7 @@ impl Warlock {
             &s.config,
             &s.scheme,
             pages,
-            self.shared.env(),
+            &self.shared.cache,
         )?;
         self.with_delta(varied)
     }
@@ -727,7 +660,7 @@ impl Warlock {
             &s.config,
             &s.scheme,
             dimension,
-            self.shared.env(),
+            &self.shared.cache,
         )?;
         self.with_delta(varied)
     }
@@ -749,7 +682,7 @@ impl Warlock {
             &s.mix,
             &s.config,
             name,
-            self.shared.env(),
+            &self.shared.cache,
         )?;
         self.with_delta(varied)
     }
@@ -1148,88 +1081,50 @@ mod tests {
     fn parallelism_knob_does_not_change_the_report() {
         let schema = apb1_like_schema(Apb1Config::default()).unwrap();
         let mix = apb1_like_mix().unwrap();
-        let build = |workers: usize| {
+        let build = |parallelism: usize| {
             Warlock::builder()
                 .schema(schema.clone())
                 .system(SystemConfig::default_2001(16))
                 .mix(mix.clone())
-                .parallelism(workers)
+                .config(AdvisorConfig {
+                    parallelism,
+                    ..Default::default()
+                })
                 .build()
                 .unwrap()
         };
         let serial = build(1);
         assert_eq!(serial.config().parallelism, 1);
         let reference = serial.run().unwrap();
-        for workers in [2, 3, 8] {
+        // The field is accepted and kept, but evaluation never reads it.
+        for parallelism in [0, 2, 3, 8] {
+            let session = build(parallelism);
+            assert_eq!(session.config().parallelism, parallelism);
             assert_eq!(
-                build(workers).run().unwrap(),
+                session.run().unwrap(),
                 reference,
-                "W={workers} diverged"
+                "parallelism = {parallelism} diverged"
             );
         }
     }
 
     #[test]
-    fn builder_parallelism_overrides_config_in_any_order() {
-        let schema = apb1_like_schema(Apb1Config::default()).unwrap();
-        let mix = apb1_like_mix().unwrap();
-        let s = Warlock::builder()
-            .parallelism(5)
-            .schema(schema)
-            .system(SystemConfig::default_2001(16))
-            .mix(mix)
-            .config(AdvisorConfig::default())
-            .build()
-            .unwrap();
-        assert_eq!(s.config().parallelism, 5);
-    }
-
-    #[test]
-    fn builder_allocation_policy_overrides_config_in_any_order() {
-        use warlock_alloc::{AllocationPolicy, AllocationScheme};
-        let s = Warlock::builder()
-            .allocation_policy(AllocationPolicy::GraphPartition { seed: 7 })
-            .schema(apb1_like_schema(Apb1Config::default()).unwrap())
-            .system(SystemConfig::default_2001(16))
-            .mix(apb1_like_mix().unwrap())
-            .config(AdvisorConfig::default())
-            .build()
-            .unwrap();
-        assert_eq!(
-            s.config().allocation_policy,
-            AllocationPolicy::GraphPartition { seed: 7 }
-        );
-        let plan = s.plan_allocation(1).unwrap();
-        assert_eq!(plan.allocation.scheme(), AllocationScheme::GraphPartition);
-    }
-
-    #[test]
-    fn builder_streaming_knobs_override_config() {
-        let s = Warlock::builder()
-            .schema(apb1_like_schema(Apb1Config::default()).unwrap())
-            .system(SystemConfig::default_2001(16))
-            .mix(apb1_like_mix().unwrap())
-            .config(AdvisorConfig::default())
-            .max_candidates(5000)
-            .chunk_size(32)
-            .build()
-            .unwrap();
-        assert_eq!(s.config().max_candidates, 5000);
-        assert_eq!(s.config().chunk_size, 32);
-        assert_eq!(s.candidate_space_size(), 168);
-        // The budget admits the 168-candidate space: advice flows.
-        assert!(s.rank().unwrap().top().is_some());
-    }
-
-    #[test]
     fn exceeding_the_candidate_budget_is_a_typed_error() {
-        let s = Warlock::builder()
-            .schema(apb1_like_schema(Apb1Config::default()).unwrap())
-            .system(SystemConfig::default_2001(16))
-            .mix(apb1_like_mix().unwrap())
-            .max_candidates(100)
-            .build()
-            .unwrap();
+        let with_budget = |max_candidates: u64| {
+            Warlock::builder()
+                .schema(apb1_like_schema(Apb1Config::default()).unwrap())
+                .system(SystemConfig::default_2001(16))
+                .mix(apb1_like_mix().unwrap())
+                .config(AdvisorConfig {
+                    max_candidates,
+                    ..Default::default()
+                })
+                .build()
+                .unwrap()
+        };
+        // A budget that admits the 168-candidate space: advice flows.
+        assert!(with_budget(168).rank().unwrap().top().is_some());
+        let s = with_budget(100);
         let err = s.rank().unwrap_err();
         assert_eq!(
             err,
@@ -1251,12 +1146,15 @@ mod tests {
     fn chunk_size_does_not_change_the_report() {
         let schema = apb1_like_schema(Apb1Config::default()).unwrap();
         let mix = apb1_like_mix().unwrap();
-        let build = |chunk: usize| {
+        let build = |chunk_size: usize| {
             Warlock::builder()
                 .schema(schema.clone())
                 .system(SystemConfig::default_2001(16))
                 .mix(mix.clone())
-                .chunk_size(chunk)
+                .config(AdvisorConfig {
+                    chunk_size,
+                    ..Default::default()
+                })
                 .build()
                 .unwrap()
         };

@@ -410,7 +410,9 @@ fn gen_advisor(rng: &mut Rng, space: &ScenarioSpace, skews: Vec<DimensionSkew>) 
         } else {
             None
         },
-        parallelism: space.parallelism,
+        // No effect on evaluation, but rendered into the scenario
+        // config, so the fleet fingerprint depends on it.
+        parallelism: 1,
         ..Default::default()
     }
 }

@@ -161,9 +161,6 @@ pub struct ScenarioSpace {
     /// Probability that a scenario also enumerates ranged (MDHF)
     /// candidates via `range_options = 2, 3`.
     pub ranged_probability: f64,
-    /// Evaluation workers forced into every scenario (`1` keeps fleet
-    /// timings comparable on any host; `0` = auto).
-    pub parallelism: usize,
     /// Probability that a scenario runs the co-access graph
     /// partitioning allocation policy (with a drawn seed) instead of
     /// the drawn classic policy. The default `0.0` draws **nothing**
@@ -180,7 +177,6 @@ impl Default for ScenarioSpace {
             max_fact_rows: 20_000_000,
             mix_classes: (4, 8),
             ranged_probability: 0.25,
-            parallelism: 1,
             graph_probability: 0.0,
         }
     }

@@ -22,7 +22,6 @@ fn arb_space() -> impl Strategy<Value = ScenarioSpace> {
                 max_fact_rows: max_rows,
                 mix_classes,
                 ranged_probability: ranged,
-                parallelism: 1,
                 graph_probability: 0.0,
             },
         )

@@ -222,7 +222,7 @@ proptest! {
     #[test]
     fn chunks_spanning_the_cache_boundary_stay_bit_identical(
         seed in 0u64..1024,
-        workers in 1usize..4,
+        parallelism in 1usize..4,
         chunk_pick in 0usize..3,
     ) {
         let chunk = [1usize, 17, 100_000][chunk_pick];
@@ -234,10 +234,10 @@ proptest! {
                 .mix(mix)
                 .config(AdvisorConfig {
                     max_dimensionality,
+                    parallelism,
+                    chunk_size: chunk,
                     ..Default::default()
                 })
-                .parallelism(workers)
-                .chunk_size(chunk)
                 .build()
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
         };
@@ -286,9 +286,9 @@ proptest! {
                 .config(AdvisorConfig {
                     max_dimensionality: 1,
                     kernel,
+                    chunk_size: chunk,
                     ..Default::default()
                 })
-                .chunk_size(chunk)
                 .build()
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             let _ = session.run().unwrap();

@@ -27,7 +27,6 @@ fn session_for(seed: u64) -> Warlock {
         .schema(schema)
         .system(SystemConfig::default_2001(disks))
         .mix(mix)
-        .parallelism(1)
         .build()
         .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
 }

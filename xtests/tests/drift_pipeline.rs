@@ -4,8 +4,8 @@
 //! to a cold advisor at the same observed mix, and the cache statistics
 //! must prove the re-advise recombined cached class costs instead of
 //! re-costing. Plus the property side: drift scoring is a pure function
-//! of the ordered observation stream (any batch split, any worker
-//! count), and the hysteresis band cannot flap.
+//! of the ordered observation stream (any batch split), and the
+//! hysteresis band cannot flap.
 
 use proptest::prelude::*;
 use warlock::prelude::*;

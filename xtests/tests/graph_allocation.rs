@@ -2,9 +2,9 @@
 //!
 //! The partitioner promises three things no matter what workload it is
 //! handed: every fragment lands on exactly one in-bounds disk, equal
-//! inputs yield byte-identical allocations (at any evaluation worker
-//! count), and a graph without co-access signal degrades to the
-//! paper's greedy size-based placement.
+//! inputs yield byte-identical allocations (under any value of the
+//! retired `parallelism` field), and a graph without co-access signal
+//! degrades to the paper's greedy size-based placement.
 
 use proptest::prelude::*;
 
@@ -94,31 +94,34 @@ proptest! {
     }
 }
 
-/// Worker count is an execution knob, never an advice knob: the graph
-/// allocation must be bit-identical whether candidates are evaluated
-/// serially or on a pool.
+/// `parallelism` is a retired execution knob, never an advice knob:
+/// the graph allocation must be bit-identical whatever value a session
+/// is configured with.
 #[test]
 fn graph_allocation_is_identical_at_any_worker_count() {
-    let plan_at = |workers: usize| {
+    let plan_at = |parallelism: usize| {
         let session = Warlock::builder()
             .schema(apb1_like_schema(Apb1Config::default()).unwrap())
             .system(SystemConfig::default_2001(16))
             .mix(apb1_like_mix().unwrap())
-            .allocation_policy(AllocationPolicy::GraphPartition { seed: 42 })
-            .parallelism(workers)
+            .config(AdvisorConfig {
+                allocation_policy: AllocationPolicy::GraphPartition { seed: 42 },
+                parallelism,
+                ..Default::default()
+            })
             .build()
             .unwrap();
         session.plan_allocation(1).unwrap()
     };
     let serial = plan_at(1);
     assert_eq!(serial.allocation.scheme(), AllocationScheme::GraphPartition);
-    for workers in [2, 4, 8] {
-        let pooled = plan_at(workers);
+    for parallelism in [0, 2, 4, 8] {
+        let other = plan_at(parallelism);
         assert_eq!(
             serial.allocation.placements(),
-            pooled.allocation.placements(),
-            "allocation diverged at {workers} workers"
+            other.allocation.placements(),
+            "allocation diverged at parallelism = {parallelism}"
         );
-        assert_eq!(serial.label, pooled.label);
+        assert_eq!(serial.label, other.label);
     }
 }

@@ -1,8 +1,9 @@
-//! Parallel-vs-serial equivalence: `engine::run` must produce
-//! bit-identical `AdvisorReport`s (ranking order, excluded set,
-//! per-query costs) for any worker count, on arbitrary valid inputs —
-//! and the per-session evaluation cache must never change a result
-//! either, only skip work.
+//! The retired `AdvisorConfig::parallelism` field has no effect:
+//! sessions configured with any value must produce `AdvisorReport`s
+//! bit-identical (ranking order, excluded set, per-query costs) to a
+//! `parallelism = 1` session, on arbitrary valid inputs — and the
+//! per-session evaluation cache must never change a result either,
+//! only skip work.
 
 use proptest::prelude::*;
 
@@ -10,7 +11,7 @@ use warlock::prelude::*;
 use warlock_schema::{random_schema, RandomSchemaConfig};
 use warlock_workload::{GeneratorConfig, WorkloadGenerator};
 
-fn session_for(seed: u64, workers: usize) -> Warlock {
+fn session_for(seed: u64, parallelism: usize) -> Warlock {
     let schema = random_schema(seed, RandomSchemaConfig::default()).unwrap();
     let mix = WorkloadGenerator::new(
         seed.wrapping_mul(0x9e37_79b9),
@@ -26,7 +27,10 @@ fn session_for(seed: u64, workers: usize) -> Warlock {
         .schema(schema)
         .system(SystemConfig::default_2001(disks))
         .mix(mix)
-        .parallelism(workers)
+        .config(AdvisorConfig {
+            parallelism,
+            ..Default::default()
+        })
         .build()
         .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
 }
@@ -37,15 +41,15 @@ proptest! {
     #[test]
     fn parallel_run_is_bit_identical_to_serial(
         seed in 0u64..4096,
-        workers in 2usize..9,
+        parallelism in 0usize..9,
     ) {
         let serial = session_for(seed, 1).run().unwrap();
-        let parallel = session_for(seed, workers).run().unwrap();
+        let other = session_for(seed, parallelism).run().unwrap();
         // Full structural equality: same ranking order, same excluded
         // candidates with the same reasons, same per-query costs.
-        prop_assert_eq!(&serial, &parallel);
+        prop_assert_eq!(&serial, &other);
         // And bit-identical floats, not merely approximately equal.
-        for (a, b) in serial.ranked.iter().zip(&parallel.ranked) {
+        for (a, b) in serial.ranked.iter().zip(&other.ranked) {
             prop_assert_eq!(a.cost.response_ms.to_bits(), b.cost.response_ms.to_bits());
             prop_assert_eq!(a.cost.io_cost_ms.to_bits(), b.cost.io_cost_ms.to_bits());
             for (qa, qb) in a.cost.per_query.iter().zip(&b.cost.per_query) {
@@ -58,16 +62,16 @@ proptest! {
     #[test]
     fn what_if_variations_agree_across_worker_counts(
         seed in 0u64..1024,
-        workers in 2usize..7,
+        parallelism in 0usize..7,
     ) {
         let serial = session_for(seed, 1);
-        let parallel = session_for(seed, workers);
+        let other = session_for(seed, parallelism);
         let (sr, sd) = serial.what_if_disks(32).unwrap();
-        let (pr, pd) = parallel.what_if_disks(32).unwrap();
+        let (pr, pd) = other.what_if_disks(32).unwrap();
         prop_assert_eq!(sr, pr);
         prop_assert_eq!(sd, pd);
         let (sr, _) = serial.what_if_fixed_prefetch(8).unwrap();
-        let (pr, _) = parallel.what_if_fixed_prefetch(8).unwrap();
+        let (pr, _) = other.what_if_fixed_prefetch(8).unwrap();
         prop_assert_eq!(sr, pr);
     }
 

@@ -2,8 +2,8 @@
 //! bounded-memory pipeline must produce an `AdvisorReport` that is
 //! **bit-identical** to the historical materialized pass — enumerate
 //! everything, exclude, cost, `twofold_rank` — for arbitrary valid
-//! inputs, at any worker count, any chunk size, and with warm or cold
-//! evaluation caches.
+//! inputs, at any chunk size, under any value of the retired
+//! `parallelism` field, and with warm or cold evaluation caches.
 //!
 //! The reference below re-implements the materialized seed path from
 //! public pieces (`enumerate_candidates_ranged`, `FragmentLayout`,
@@ -20,7 +20,7 @@ use warlock_fragment::{enumerate_candidates_ranged, Exclusion, FragmentLayout};
 use warlock_schema::{random_schema, RandomSchemaConfig};
 use warlock_workload::{GeneratorConfig, WorkloadGenerator};
 
-fn session_for(seed: u64, workers: usize, chunk: usize, ranged: bool) -> Warlock {
+fn session_for(seed: u64, parallelism: usize, chunk: usize, ranged: bool) -> Warlock {
     let schema = random_schema(
         seed,
         RandomSchemaConfig {
@@ -42,6 +42,8 @@ fn session_for(seed: u64, workers: usize, chunk: usize, ranged: bool) -> Warlock
     let disks = 1 + (seed % 24) as u32;
     let config = AdvisorConfig {
         range_options: if ranged { vec![2, 3, 5] } else { Vec::new() },
+        parallelism,
+        chunk_size: chunk,
         ..Default::default()
     };
     Warlock::builder()
@@ -49,8 +51,6 @@ fn session_for(seed: u64, workers: usize, chunk: usize, ranged: bool) -> Warlock
         .system(SystemConfig::default_2001(disks))
         .mix(mix)
         .config(config)
-        .parallelism(workers)
-        .chunk_size(chunk)
         .build()
         .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
 }
@@ -139,12 +139,12 @@ proptest! {
     #[test]
     fn streaming_pipeline_is_bit_identical_to_materialized(
         seed in 0u64..4096,
-        workers in 1usize..6,
+        parallelism in 1usize..6,
         chunk_pick in 0usize..6,
         ranged in any::<bool>(),
     ) {
         let chunk = [1usize, 2, 3, 17, 256, 100_000][chunk_pick];
-        let session = session_for(seed, workers, chunk, ranged);
+        let session = session_for(seed, parallelism, chunk, ranged);
         let reference = materialized_reference(&session);
 
         // Cold run.
@@ -164,11 +164,11 @@ proptest! {
     #[test]
     fn chunk_size_never_changes_a_report(
         seed in 0u64..1024,
-        workers in 1usize..4,
+        parallelism in 1usize..4,
     ) {
-        let reference = session_for(seed, workers, 1, false).run().unwrap();
+        let reference = session_for(seed, parallelism, 1, false).run().unwrap();
         for chunk in [2usize, 5, 64, 100_000] {
-            let report = session_for(seed, workers, chunk, false).run().unwrap();
+            let report = session_for(seed, parallelism, chunk, false).run().unwrap();
             prop_assert_eq!(&report, &reference);
         }
     }
